@@ -3,7 +3,8 @@
 //! DistDGL-like), PinSage (FlexGraph vs DistDGL-like vs Euler-like) and
 //! MAGNN (FlexGraph only — no baseline expresses it).
 
-use flexgraph::dist::{make_shards, simulated_epoch, DistConfig, DistMode};
+use flexgraph::comm::NetProfile;
+use flexgraph::dist::{make_shards, virtual_epoch, DistConfig, DistMode};
 use flexgraph::engine::hybrid::{AggrOp, AggrPlan, Strategy};
 use flexgraph::graph::gen::reddit_like;
 use flexgraph::graph::partition::hash_partition;
@@ -41,11 +42,12 @@ fn run(
         update_weight: Some(Tensor::eye(ds.feature_dim()).scale(0.1)),
         ..DistConfig::default()
     };
-    // Discrete-event simulation: per-worker compute measured in
-    // isolation + the modeled wire time (this host has a single core, so
-    // threaded wall time cannot express multi-machine scaling).
-    let rep = simulated_epoch(&ds.graph, &shards, &cfg);
-    secs(rep.epoch)
+    // Virtual time on a uniform network priced like the cost model
+    // (threaded wall time on one host cannot express multi-machine
+    // scaling).
+    let net = NetProfile::from_cost_model(&cfg.cost_model);
+    let rep = virtual_epoch(&ds.graph, &shards, &cfg, &net);
+    secs(rep.virtual_time)
 }
 
 fn main() {

@@ -2,7 +2,8 @@
 //! epoch under PuLP-like, Hash and ADB partitionings on the Twitter
 //! stand-in with k = 8 workers, for all three models.
 
-use flexgraph::dist::{distributed_epoch, make_shards, simulated_epoch, DistConfig, DistMode};
+use flexgraph::comm::NetProfile;
+use flexgraph::dist::{distributed_epoch, make_shards, virtual_epoch, DistConfig, DistMode};
 use flexgraph::engine::hybrid::{AggrOp, AggrPlan, Strategy};
 use flexgraph::graph::gen::twitter_like;
 use flexgraph::graph::partition::{hash_partition, lp_partition};
@@ -79,13 +80,9 @@ fn epoch_secs(
         update_weight: None,
         ..DistConfig::default()
     };
-    // Minimum of five runs: the noise-robust estimator for ms-scale
-    // simulated epochs on a shared host.
-    let best = (0..5)
-        .map(|_| simulated_epoch(&ds.graph, &shards, &cfg).epoch)
-        .min()
-        .unwrap();
-    secs(best)
+    // Virtual time is deterministic: one run is the measurement.
+    let net = NetProfile::from_cost_model(&cfg.cost_model);
+    secs(virtual_epoch(&ds.graph, &shards, &cfg, &net).virtual_time)
 }
 
 fn main() {

@@ -2,7 +2,8 @@
 //! time with and without pipelining on the FB91 and Twitter stand-ins,
 //! k = 8 workers, all three models.
 
-use flexgraph::dist::{make_shards, simulated_epoch, DistConfig, DistMode};
+use flexgraph::comm::NetProfile;
+use flexgraph::dist::{make_shards, virtual_epoch, DistConfig, DistMode};
 use flexgraph::engine::hybrid::{AggrOp, AggrPlan, Strategy};
 use flexgraph::graph::gen::{fb_like, twitter_like};
 use flexgraph::graph::partition::lp_partition;
@@ -38,14 +39,11 @@ fn epoch(
         update_weight: None,
         ..DistConfig::default()
     };
-    // Minimum of five runs (noise-robust at ms scale).
-    (0..5)
-        .map(|_| {
-            simulated_epoch(&ds.graph, &shards, &cfg)
-                .epoch
-                .as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+    // Virtual time is deterministic: one run is the measurement.
+    let net = NetProfile::from_cost_model(&cfg.cost_model);
+    virtual_epoch(&ds.graph, &shards, &cfg, &net)
+        .virtual_time
+        .as_secs_f64()
 }
 
 fn main() {

@@ -2,8 +2,10 @@
 //!
 //! The threaded [`crate::fabric`] caps simulated cluster sizes at the
 //! host's core count and times out in wall-clock terms. This module
-//! replaces OS threads with *cooperative state-machine tasks* driven by
-//! a binary-heap event wheel keyed by `(virtual_time, tie_break_seq)`:
+//! steps the same [`SimTask`] state machines that
+//! [`crate::task::run_on_thread`] steps on OS threads, but
+//! cooperatively, on a binary-heap event wheel keyed by
+//! `(virtual_time, tie_break_seq)`:
 //! a thousand workers run comfortably on one core, every run of the same
 //! seed replays the exact same event sequence byte for byte, and a whole
 //! epoch at any scale finishes in the wall time of its compute — the
@@ -32,6 +34,7 @@
 use crate::chaos::{splitmix64, ChaosSchedule};
 use crate::clock;
 use crate::fabric::{CommError, RetryPolicy};
+use crate::task::{SimTask, TaskCtx, TaskStep};
 use bytes::Bytes;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -288,50 +291,16 @@ impl NetProfile {
     }
 }
 
-/// A message delivered through the virtual fabric.
+/// A message in flight through the virtual fabric.
 #[derive(Clone, Debug)]
-pub struct VMessage {
-    /// Sender rank.
-    pub from: usize,
-    /// Application tag.
-    pub tag: u32,
+struct VMessage {
+    from: usize,
+    tag: u32,
     /// Per-link sequence number.
-    pub seq: u64,
+    seq: u64,
     /// Virtual delivery time.
-    pub at: Vt,
-    /// Payload bytes.
-    pub payload: Bytes,
-}
-
-/// What a task wants from the scheduler after a `step`.
-///
-/// A task returning [`TaskStep::Recv`] is parked until a matching
-/// message lands in its inbox, then stepped again — it must re-enter the
-/// state that called [`TaskCtx::try_recv`] and retry. A task returning
-/// [`TaskStep::Barrier`] must *first* advance its own state past the
-/// barrier: when released, its next step resumes there.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TaskStep {
-    /// Park until a message with `tag` from `from` is available.
-    Recv {
-        /// Sender rank to wait on.
-        from: usize,
-        /// Tag to wait on.
-        tag: u32,
-    },
-    /// Park until every worker reaches the barrier.
-    Barrier,
-    /// The task is finished (successfully or not); never stepped again.
-    Done,
-}
-
-/// A cooperative worker task: a state machine stepped by the scheduler.
-pub trait SimTask {
-    /// Runs until the task must block or finishes, returning what to
-    /// wait on. Called again when the wait is satisfied — or when a
-    /// failure is latched, which the task must check via
-    /// [`TaskCtx::failed`] at entry.
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskStep;
+    at: Vt,
+    payload: Bytes,
 }
 
 /// Configuration of a virtual cluster.
@@ -361,7 +330,8 @@ enum NetEvent {
 
 /// Deterministic traffic counters of one virtual cluster (the virtual
 /// analogue of [`crate::CommStats`], without atomics — the scheduler is
-/// single-threaded by construction).
+/// single-threaded by construction). Schedulers of the same tasks on
+/// threads report the fabric's counters in this shape too.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VirtualStats {
     /// Application messages sent (logical sends; retransmits and
@@ -379,6 +349,19 @@ pub struct VirtualStats {
     pub dups_injected: u64,
     /// Receive-side duplicate discards.
     pub redeliveries: u64,
+}
+
+impl std::ops::AddAssign for VirtualStats {
+    /// Field-wise sum (accumulating counters across attempts).
+    fn add_assign(&mut self, o: Self) {
+        self.messages += o.messages;
+        self.bytes += o.bytes;
+        self.modeled_ns += o.modeled_ns;
+        self.retries += o.retries;
+        self.drops_injected += o.drops_injected;
+        self.dups_injected += o.dups_injected;
+        self.redeliveries += o.redeliveries;
+    }
 }
 
 /// The virtual cluster: scheduler, fabric, chaos, and event log in one.
@@ -520,10 +503,7 @@ impl VirtualCluster {
                     continue;
                 }
                 self.state[r] = TaskState::Runnable;
-                let step = tasks[r].step(&mut TaskCtx {
-                    rank: r,
-                    cluster: self,
-                });
+                let step = tasks[r].step(&mut TaskCtx::on_wheel(r, self));
                 match step {
                     TaskStep::Recv { from, tag } => {
                         // The inbox was empty when the task polled and
@@ -715,85 +695,56 @@ impl VirtualCluster {
     }
 }
 
-/// A task's window into the cluster while being stepped: its local
-/// virtual clock, compute charging, and the fabric send/receive surface.
-pub struct TaskCtx<'a> {
-    rank: usize,
-    cluster: &'a mut VirtualCluster,
-}
-
-impl TaskCtx<'_> {
-    /// This task's rank.
-    pub fn rank(&self) -> usize {
-        self.rank
+/// The wheel side of [`TaskCtx`]: each method acts for task `rank`.
+impl VirtualCluster {
+    pub(crate) fn compute_factor(&self, rank: usize) -> f64 {
+        self.compute_mult[rank]
     }
 
-    /// Number of workers.
-    pub fn num_workers(&self) -> usize {
-        self.cluster.k
-    }
-
-    /// This task's local virtual time.
-    pub fn now(&self) -> Vt {
-        self.cluster.local_vt[self.rank]
-    }
-
-    /// This task's straggler compute multiplier (1.0 unless straggling).
-    pub fn compute_factor(&self) -> f64 {
-        self.cluster.compute_mult[self.rank]
-    }
-
-    /// Advances the local clock by `units` of modeled compute, scaled by
-    /// the profile's rate and this worker's straggler factor. Returns
-    /// the charged nanoseconds.
-    pub fn charge(&mut self, units: u64) -> u64 {
-        let ns = (units as f64
-            * self.cluster.cfg.net.compute_ns_per_unit
-            * self.cluster.compute_mult[self.rank]) as u64;
-        self.cluster.local_vt[self.rank] += ns;
-        self.cluster.compute_ns[self.rank] += ns;
+    /// Advances `rank`'s clock by `units` of modeled compute, scaled by
+    /// the profile's rate and its straggler factor.
+    pub(crate) fn charge(&mut self, rank: usize, units: u64) -> u64 {
+        let ns = (units as f64 * self.cfg.net.compute_ns_per_unit * self.compute_mult[rank]) as u64;
+        self.local_vt[rank] += ns;
+        self.compute_ns[rank] += ns;
         ns
     }
 
-    /// The latched failure, if a peer crash has been detected.
-    pub fn failed(&self) -> Option<CommError> {
-        self.cluster.failed[self.rank].clone()
+    pub(crate) fn failed(&self, rank: usize) -> Option<CommError> {
+        self.failed[rank].clone()
     }
 
-    /// Sends `payload` to `to` with `tag`, reliably: chaos drops are
-    /// collapsed into retransmission delays, so delivery is guaranteed
-    /// unless a crash intervenes. Returns [`CommError::Crashed`] when
-    /// this send hits the schedule's crash point, and the latched error
-    /// after a peer failure.
-    pub fn send(&mut self, to: usize, tag: u32, payload: Bytes) -> Result<(), CommError> {
-        let me = self.rank;
-        if self.cluster.crashed[me] {
+    /// Chaos drops are collapsed into retransmission delays, so delivery
+    /// is guaranteed unless a crash intervenes.
+    pub(crate) fn task_send(
+        &mut self,
+        me: usize,
+        to: usize,
+        tag: u32,
+        payload: Bytes,
+    ) -> Result<(), CommError> {
+        if self.crashed[me] {
             return Err(CommError::Crashed);
         }
-        if let Some(e) = &self.cluster.failed[me] {
+        if let Some(e) = &self.failed[me] {
             return Err(e.clone());
         }
-        if let Some(c) = self.cluster.cfg.chaos.crash {
-            if c.rank == me && self.cluster.data_sends[me] + 1 >= c.at_send.max(1) {
-                self.cluster.crash(me);
+        if let Some(c) = self.cfg.chaos.crash {
+            if c.rank == me && self.data_sends[me] + 1 >= c.at_send.max(1) {
+                self.crash(me);
                 return Err(CommError::Crashed);
             }
         }
-        self.cluster.data_sends[me] += 1;
-        self.cluster.send_from(me, to, tag, payload);
+        self.data_sends[me] += 1;
+        self.send_from(me, to, tag, payload);
         Ok(())
     }
 
-    /// Non-blocking receive of the next message with `tag` from `from`,
-    /// in per-link send order. `None` means the caller should park by
-    /// returning [`TaskStep::Recv`] with the same coordinates. Consuming
-    /// a message advances the local clock to its delivery time.
-    pub fn try_recv(&mut self, from: usize, tag: u32) -> Option<VMessage> {
-        let me = self.rank;
-        let q = self.cluster.inbox[me].get_mut(&(from, tag))?;
-        let msg = q.pop_front()?;
-        self.cluster.local_vt[me] = self.cluster.local_vt[me].max(msg.at);
-        Some(msg)
+    /// Consuming a message advances `me`'s clock to its delivery time.
+    pub(crate) fn try_recv(&mut self, me: usize, from: usize, tag: u32) -> Option<Bytes> {
+        let msg = self.inbox[me].get_mut(&(from, tag))?.pop_front()?;
+        self.local_vt[me] = self.local_vt[me].max(msg.at);
+        Some(msg.payload)
     }
 }
 
@@ -864,8 +815,8 @@ mod tests {
                         self.state = 1;
                     }
                     1 => match ctx.try_recv((me + k - 1) % k, 7) {
-                        Some(m) => {
-                            self.got = Some(m.seq);
+                        Some(p) => {
+                            self.got = Some(p[0] as u64);
                             self.state = 2;
                         }
                         None => {
@@ -897,7 +848,7 @@ mod tests {
     fn ring_delivers_and_logs_deterministically() {
         let cfg = SimConfig::default();
         let (a, tasks) = run_ring(5, cfg.clone());
-        assert!(tasks.iter().all(|t| t.got == Some(1)));
+        assert!((0..5).all(|r| tasks[r].got == Some(((r + 4) % 5) as u64)));
         assert_eq!(a.stats().messages, 5);
         let (b, _) = run_ring(5, cfg);
         assert_eq!(a.log_bytes(), b.log_bytes());
@@ -938,7 +889,7 @@ mod tests {
             ..Default::default()
         };
         let (cluster, tasks) = run_ring(3, cfg);
-        assert!(tasks.iter().all(|t| t.got == Some(1)));
+        assert!((0..3).all(|r| tasks[r].got == Some(((r + 2) % 3) as u64)));
         assert_eq!(cluster.stats().dups_injected, 3);
         assert_eq!(cluster.stats().redeliveries, 3);
     }

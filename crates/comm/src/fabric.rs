@@ -26,7 +26,7 @@
 //! exhausted the waiting worker returns a structured [`CommError`]
 //! instead of hanging. The first worker to detect a failure broadcasts
 //! an abort so the whole fleet unwinds within roughly one timeout,
-//! letting `dist::trainer` re-drive the epoch from its epoch-start
+//! letting `dist::runtime` re-drive the epoch from its epoch-start
 //! checkpoint.
 //!
 //! A schedule installed with [`Fabric::set_chaos`] is published as an
@@ -157,6 +157,11 @@ struct Unacked {
     payload: Bytes,
     /// Transmissions made so far (>= 1 once buffered).
     attempts: u32,
+    /// Whether a transmission has survived the chaos schedule. The
+    /// attempts up to the first survivor form the message's
+    /// deterministic attempt chain; later retransmissions depend on
+    /// when acks arrive, so they are counted apart.
+    survived: bool,
     next_retry: Instant,
 }
 
@@ -332,6 +337,7 @@ impl WorkerComm {
                 tag,
                 payload: payload.clone(),
                 attempts: 1,
+                survived: !d.drop,
                 next_retry: Instant::now() + self.shared.retry.base_timeout,
             },
         );
@@ -410,7 +416,8 @@ impl WorkerComm {
                     },
                 );
                 if self.already_seen(from, seq) {
-                    self.shared.stats.record_redelivery();
+                    // A chaos duplicate (counted when sent) or a
+                    // timeout copy: drop it.
                     return Ok(());
                 }
                 self.mark_seen(from, seq);
@@ -453,6 +460,11 @@ impl WorkerComm {
 
     /// Retransmits every overdue unacked message; errors once a peer has
     /// exhausted the attempt budget.
+    ///
+    /// Retries and drops are counted only along each message's attempt
+    /// chain, which the seed fixes. A copy sent after an earlier one
+    /// survived counts as a timeout copy instead: it exists only because
+    /// an ack was slow.
     fn pump_retries(&mut self) -> Result<(), CommError> {
         let now = Instant::now();
         let retry = self.shared.retry;
@@ -471,9 +483,16 @@ impl WorkerComm {
                 let d = chaos.decide(self.rank, p, seq, u.attempts);
                 u.next_retry = now + backoff_for(retry, u.attempts);
                 u.attempts += 1;
-                self.shared.stats.record_retry();
+                if u.survived {
+                    self.shared.stats.record_timeout_copy();
+                } else {
+                    self.shared.stats.record_retry();
+                    if d.drop {
+                        self.shared.stats.record_drop_injected();
+                    }
+                    u.survived = !d.drop;
+                }
                 if d.drop {
-                    self.shared.stats.record_drop_injected();
                     continue;
                 }
                 let wire_us = self.shared.model.wire_us(u.payload.len());
@@ -564,27 +583,11 @@ impl WorkerComm {
         }
     }
 
-    /// Receives the next message carrying `tag` from any source.
-    pub fn recv_tag(&mut self, tag: u32) -> Result<Message, CommError> {
-        self.recv_match(None, tag)
-    }
-
     /// Receives the next message carrying `tag` from a specific peer —
     /// the deterministic-order receive that keeps floating-point folds
     /// bitwise reproducible under reordering chaos.
     pub fn recv_tag_from(&mut self, from: usize, tag: u32) -> Result<Message, CommError> {
         self.recv_match(Some(from), tag)
-    }
-
-    /// Non-blocking probe: whether a message with `tag` has *arrived*
-    /// (its wire time may still be pending).
-    pub fn has_tag(&mut self, tag: u32) -> bool {
-        while let Ok(pkt) = self.receiver.try_recv() {
-            // An abort latches into state and surfaces on the next
-            // blocking call; probing stays infallible.
-            let _ = self.process_packet(pkt);
-        }
-        self.pending.iter().any(|m| m.tag == tag)
     }
 
     /// Blocks until every worker reaches the barrier, by exchanging
@@ -669,7 +672,7 @@ impl WorkerComm {
         let mut seen = vec![false; self.k];
         let mut got = Vec::with_capacity(self.k.saturating_sub(1));
         while got.len() < self.k - 1 {
-            let msg = self.recv_tag(tag)?;
+            let msg = self.recv_match(None, tag)?;
             // The transport already dedups; this guards against a peer
             // legitimately sending the same tag twice in one round.
             if seen[msg.from] {
@@ -700,7 +703,7 @@ fn delivery_instant(model: CostModel, wire_us: f64, chaos_delay_us: f64) -> Inst
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::CostModel;
+    use crate::stats::{CostModel, StatsSnapshot};
 
     fn spawn_workers<F, R>(k: usize, model: CostModel, f: F) -> (Fabric, Vec<R>)
     where
@@ -746,7 +749,7 @@ mod tests {
                 w.barrier().unwrap();
                 Vec::new()
             } else {
-                let m = w.recv_tag(7).unwrap();
+                let m = w.recv_tag_from(0, 7).unwrap();
                 assert_eq!(m.from, 0);
                 w.barrier().unwrap();
                 m.payload.to_vec()
@@ -766,8 +769,8 @@ mod tests {
             } else {
                 // Ask for tag 2 first; tag 1's message must be parked and
                 // still retrievable afterwards.
-                let m2 = w.recv_tag(2).unwrap();
-                let m1 = w.recv_tag(1).unwrap();
+                let m2 = w.recv_tag_from(0, 2).unwrap();
+                let m1 = w.recv_tag_from(0, 1).unwrap();
                 w.barrier().unwrap();
                 vec![m2.payload.to_vec(), m1.payload.to_vec()]
             }
@@ -828,7 +831,7 @@ mod tests {
                 sent_in
             } else {
                 let t0 = Instant::now();
-                let _ = w.recv_tag(0).unwrap();
+                let _ = w.recv_tag_from(0, 0).unwrap();
                 let got_in = t0.elapsed();
                 w.barrier().unwrap();
                 got_in
@@ -853,14 +856,73 @@ mod tests {
             let out = vec![Bytes::from_static(b"p"); 2];
             let got = w.exchange(3, out).unwrap();
             assert_eq!(got.len(), 1, "duplicates must collapse");
-            // Drain the already-enqueued duplicate so the
-            // redelivery counter below is deterministic.
-            assert!(!w.has_tag(3), "duplicate discarded, not surfaced");
         });
         // Each logical message counted once; both duplicates recorded.
         assert_eq!(fabric.stats().messages(), 2);
         assert_eq!(fabric.stats().dups_injected(), 2);
         assert_eq!(fabric.stats().redeliveries(), 2);
+    }
+
+    #[test]
+    fn fault_counters_ignore_timeout_copies() {
+        // Drops, duplicates and a wire delay that holds receivers in
+        // `wait_until`, so their acks go out late.
+        let chaos = ChaosSchedule {
+            seed: 17,
+            drop_every: 3,
+            drop_prob: 0.3,
+            duplicate_every: 4,
+            extra_delay_us: 2_000.0,
+            jitter_us: 1_000.0,
+            ..Default::default()
+        };
+        let run = |base_timeout: Duration| {
+            let retry = RetryPolicy {
+                base_timeout,
+                max_backoff: base_timeout * 4,
+                max_attempts: 10_000,
+                patience: Duration::from_secs(10),
+            };
+            let (fabric, workers) = Fabric::with_retry(3, CostModel::accounting_only(), retry);
+            fabric.set_chaos(chaos);
+            crossbeam::thread::scope(|s| {
+                for mut w in workers {
+                    s.spawn(move |_| {
+                        let me = w.rank();
+                        for p in (0..3).filter(|&p| p != me) {
+                            for i in 0..12u8 {
+                                w.send(p, 1, Bytes::copy_from_slice(&[i])).unwrap();
+                            }
+                        }
+                        for p in (0..3).filter(|&p| p != me) {
+                            for _ in 0..12 {
+                                w.recv_tag_from(p, 1).unwrap();
+                            }
+                        }
+                        w.barrier().unwrap();
+                    });
+                }
+            })
+            .unwrap();
+            fabric.stats().snapshot()
+        };
+        // Acks normally beat a 200 ms timeout; a 100 µs one fires while
+        // receivers sleep out the chaos delay, re-sending messages that
+        // already got through.
+        let roomy = run(Duration::from_millis(200));
+        let tight = run(Duration::from_micros(100));
+        assert!(tight.timeout_copies > 0, "the tight policy must re-send");
+        let chain = |s: StatsSnapshot| {
+            (
+                s.messages,
+                s.retries,
+                s.drops_injected,
+                s.dups_injected,
+                s.redeliveries,
+            )
+        };
+        assert_eq!(chain(tight), chain(roomy), "timeouts leaked into counters");
+        assert!(roomy.drops_injected > 0 && roomy.redeliveries > 0);
     }
 
     #[test]
@@ -907,13 +969,13 @@ mod tests {
             } else {
                 let mut got = Vec::new();
                 for _ in 0..6 {
-                    got.push(w.recv_tag(11).unwrap().payload[0]);
+                    got.push(w.recv_tag_from(0, 11).unwrap().payload[0]);
                 }
                 w.barrier().unwrap();
                 got
             }
         });
-        // recv_tag takes messages in arrival order, but each payload must
+        // recv_tag_from takes messages in arrival order, but each payload must
         // arrive exactly once despite the holdback shuffling the wire.
         let mut sorted = results[1].clone();
         sorted.sort_unstable();
@@ -968,7 +1030,7 @@ mod tests {
                             w.send(1, 1, Bytes::from_static(b"never"))?;
                             unreachable!("rank 0 crashes on its first send");
                         } else {
-                            let _ = w.recv_tag(1)?;
+                            let _ = w.recv_tag_from(0, 1)?;
                             Ok(())
                         }
                     })
@@ -1013,17 +1075,17 @@ mod tests {
                 w0.send(1, 2, Bytes::from_static(b"d")).unwrap();
             });
             let h1 = s.spawn(move |_| {
-                let _ = w1.recv_tag(1).unwrap();
+                let _ = w1.recv_tag_from(0, 1).unwrap();
                 fabric_ref.set_chaos(ChaosSchedule {
                     seed: 0,
                     duplicate_every: 1,
                     ..Default::default()
                 });
                 installed_ref.store(true, Ordering::Release);
-                let _ = w1.recv_tag(1).unwrap();
-                let _ = w1.recv_tag(1).unwrap();
+                let _ = w1.recv_tag_from(0, 1).unwrap();
+                let _ = w1.recv_tag_from(0, 1).unwrap();
                 w1.barrier().unwrap();
-                let _ = w1.recv_tag(2).unwrap();
+                let _ = w1.recv_tag_from(0, 2).unwrap();
             });
             h0.join().unwrap();
             h1.join().unwrap();
@@ -1042,7 +1104,7 @@ mod tests {
                 w.send(1, 0, Bytes::from(vec![0u8; 1024])).unwrap();
                 w.barrier().unwrap();
             } else {
-                let _ = w.recv_tag(0).unwrap();
+                let _ = w.recv_tag_from(0, 0).unwrap();
                 w.barrier().unwrap();
             }
         });

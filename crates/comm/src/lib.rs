@@ -21,9 +21,10 @@
 //! bitwise-identical epoch outputs under any fault schedule.
 
 //!
-//! For cluster sizes beyond the host's core count, [`det`] provides a
-//! deterministic virtual-time discrete-event runtime with the same
-//! send/recv/barrier surface on cooperative tasks instead of threads;
+//! Workers are written once, as [`SimTask`] step machines ([`task`]).
+//! [`run_on_thread`] steps one on an OS thread over the fabric; for
+//! cluster sizes beyond the host's core count, [`det`] steps them all
+//! on a deterministic virtual-time discrete-event runtime instead.
 //! [`clock`] holds the timeout shapes both transports share.
 
 pub mod chaos;
@@ -32,6 +33,7 @@ pub mod codec;
 pub mod det;
 pub mod fabric;
 pub mod stats;
+pub mod task;
 
 pub use chaos::{ChaosSchedule, CrashPoint};
 pub use codec::{
@@ -40,8 +42,9 @@ pub use codec::{
     ServeFrameError,
 };
 pub use det::{
-    fnv1a, EventWheel, FlakyRack, LinkSpec, NetProfile, SimConfig, SimTask, Straggler, TaskCtx,
-    TaskStep, VMessage, VirtualCluster, VirtualStats, Vt,
+    fnv1a, EventWheel, FlakyRack, LinkSpec, NetProfile, SimConfig, Straggler, VirtualCluster,
+    VirtualStats, Vt,
 };
 pub use fabric::{CommError, Fabric, Message, RetryPolicy, WorkerComm};
 pub use stats::{CommStats, CostModel, StatsSnapshot};
+pub use task::{run_on_thread, SimTask, TaskCtx, TaskStep, ThreadRun};

@@ -54,6 +54,12 @@ impl CostModel {
 /// fault path is accounted separately: `retries`, `drops_injected`,
 /// `dups_injected`, `redeliveries`, `acks`, and `control_messages`
 /// (barrier/ack protocol traffic).
+///
+/// The fault counters follow each message's attempt chain — its
+/// transmissions up to the first that survives the chaos schedule — so
+/// they are pure functions of the seed. Retransmissions after that
+/// survivor happen only because an ack was slow; they count as
+/// `timeout_copies`, which depends on wall time and is report-only.
 #[derive(Default, Debug)]
 pub struct CommStats {
     messages: AtomicU64,
@@ -63,7 +69,7 @@ pub struct CommStats {
     retries: AtomicU64,
     drops_injected: AtomicU64,
     dups_injected: AtomicU64,
-    redeliveries: AtomicU64,
+    timeout_copies: AtomicU64,
     acks: AtomicU64,
     control_messages: AtomicU64,
 }
@@ -83,7 +89,7 @@ impl CommStats {
         self.control_messages.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one retransmission of an unacknowledged message.
+    /// Records one retransmission along a message's attempt chain.
     pub fn record_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
@@ -98,10 +104,10 @@ impl CommStats {
         self.dups_injected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one receive-side discard of an already-seen sequence
-    /// number (from a duplicate or a retransmit racing its ack).
-    pub fn record_redelivery(&self) {
-        self.redeliveries.fetch_add(1, Ordering::Relaxed);
+    /// Records one retransmission of a message an earlier transmission
+    /// of which already survived (its ack was slow).
+    pub fn record_timeout_copy(&self) {
+        self.timeout_copies.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one acknowledgement sent.
@@ -140,9 +146,17 @@ impl CommStats {
         self.dups_injected.load(Ordering::Relaxed)
     }
 
-    /// Total receive-side duplicate discards.
+    /// Total receive-side duplicate discards, timeout copies aside.
+    /// Every chaos duplicate is one: it leaves right behind its original,
+    /// so the receiver always discards the copy. It is counted when sent,
+    /// whether or not the receiver still reads its queue.
     pub fn redeliveries(&self) -> u64 {
-        self.redeliveries.load(Ordering::Relaxed)
+        self.dups_injected()
+    }
+
+    /// Total retransmissions caused by slow acks (wall-time dependent).
+    pub fn timeout_copies(&self) -> u64 {
+        self.timeout_copies.load(Ordering::Relaxed)
     }
 
     /// Total acknowledgements sent.
@@ -165,6 +179,7 @@ impl CommStats {
             drops_injected: self.drops_injected(),
             dups_injected: self.dups_injected(),
             redeliveries: self.redeliveries(),
+            timeout_copies: self.timeout_copies(),
             acks: self.acks(),
             control_messages: self.control_messages(),
         }
@@ -178,7 +193,7 @@ impl CommStats {
         self.retries.store(0, Ordering::Relaxed);
         self.drops_injected.store(0, Ordering::Relaxed);
         self.dups_injected.store(0, Ordering::Relaxed);
-        self.redeliveries.store(0, Ordering::Relaxed);
+        self.timeout_copies.store(0, Ordering::Relaxed);
         self.acks.store(0, Ordering::Relaxed);
         self.control_messages.store(0, Ordering::Relaxed);
     }
@@ -200,6 +215,8 @@ pub struct StatsSnapshot {
     pub dups_injected: u64,
     /// Receive-side duplicate discards.
     pub redeliveries: u64,
+    /// Retransmissions caused by slow acks (wall-time dependent).
+    pub timeout_copies: u64,
     /// Acknowledgements sent.
     pub acks: u64,
     /// Protocol-internal messages.
@@ -217,6 +234,7 @@ impl StatsSnapshot {
             drops_injected: self.drops_injected.saturating_sub(earlier.drops_injected),
             dups_injected: self.dups_injected.saturating_sub(earlier.dups_injected),
             redeliveries: self.redeliveries.saturating_sub(earlier.redeliveries),
+            timeout_copies: self.timeout_copies.saturating_sub(earlier.timeout_copies),
             acks: self.acks.saturating_sub(earlier.acks),
             control_messages: self
                 .control_messages
@@ -261,7 +279,6 @@ mod tests {
         s.record_retry();
         s.record_drop_injected();
         s.record_dup_injected();
-        s.record_redelivery();
         s.record_ack();
         s.record_control();
         assert_eq!(s.messages(), 1, "fault-path events are not messages");

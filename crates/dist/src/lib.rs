@@ -20,10 +20,15 @@
 //!   per-vertex rows) overlapped with local aggregation while messages
 //!   are in flight.
 //!
-//! [`shard`] carves per-worker shards out of a dataset + partitioning;
-//! [`trainer`] runs distributed aggregation epochs over the
-//! [`flexgraph_comm`] fabric and reports wall time plus traffic, which
-//! is what the Figure 13 / 15 harnesses measure.
+//! An epoch is one program with two schedulers. [`sim`] writes every
+//! [`DistMode`]'s worker once, as a sans-I/O step machine that records
+//! its own telemetry; [`runtime`] schedules those tasks either on OS
+//! threads over the [`flexgraph_comm`] fabric ([`distributed_epoch`],
+//! wall time) or on the deterministic virtual-time event wheel
+//! ([`virtual_epoch`], modeled time at up to thousands of workers), and
+//! owns the recovery loop around both. [`shard`] carves per-worker
+//! shards out of a dataset + partitioning; [`trainer`] holds the epoch
+//! configuration and report that the Figure 13 / 15 harnesses read.
 
 pub mod adb;
 pub mod balance;
@@ -40,7 +45,7 @@ pub use balance::{
     CostSample,
 };
 pub use pipeline::{build_leaf_sync, LeafSync, SlotLevel};
-pub use runtime::{EpochRuntime, ThreadedRuntime, VirtualRuntime};
+pub use runtime::{Attempt, EpochRuntime, ThreadedRuntime, VirtualRuntime};
 pub use shard::{make_shards, make_shards_paged, Shard};
-pub use sim::{simulated_epoch, virtual_epoch, SimReport, VirtualEpochReport};
+pub use sim::{virtual_epoch, EpochTask, VirtualEpochReport};
 pub use trainer::{distributed_epoch, DistConfig, DistMode, EpochReport};

@@ -1,77 +1,61 @@
-//! Virtual-time simulation of distributed epochs.
+//! The distributed epoch program, and its virtual-time entry point.
 //!
-//! The threaded runtime ([`crate::trainer::distributed_epoch`]) executes
-//! workers as real threads, which caps simulated cluster sizes at the
-//! host's core count and makes every timing curve hostage to the OS
-//! scheduler. This module runs the *same worker algorithms* — literally
-//! the same encode/fold/aggregate helpers — as cooperative state-machine
-//! tasks on the deterministic discrete-event runtime
-//! ([`flexgraph_comm::det`]):
+//! Each worker of every [`DistMode`] is one [`EpochTask`]: a sans-I/O
+//! step machine over [`TaskCtx`]. It encodes, sends, folds in rank
+//! order, aggregates the upper levels, and writes its own
+//! [`PartitionRecord`] — stage samples, comm counters, and per-root cost
+//! attribution. It never blocks: when it needs a message or a barrier
+//! it returns a [`TaskStep`], and its scheduler resumes it. The two
+//! schedulers are in [`crate::runtime`]:
 //!
-//! * a thousand workers fit on one core, because "waiting" for the
-//!   virtual wire costs no wall time;
-//! * epoch time is *modeled*, composed from per-link latency/bandwidth,
-//!   rack topology, stragglers, and charged compute units — so scaling
-//!   shapes (Figures 13/15) appear even on a single-core host;
-//! * the whole epoch is deterministic: the same seed replays the same
-//!   event sequence byte for byte, at any `FLEXGRAPH_THREADS`;
-//! * fault-free outputs are **bitwise identical** to the threaded
-//!   runtime's, because sends, folds, and upper-level aggregation run in
-//!   exactly the order the threaded workers pin them to.
+//! * [`distributed_epoch`](crate::distributed_epoch) steps each task on
+//!   an OS thread over the fabric; stage times are measured wall time.
+//! * [`virtual_epoch`] steps all tasks on the deterministic
+//!   discrete-event scheduler ([`flexgraph_comm::det`]), so a thousand
+//!   workers fit on one core, epoch time is *modeled* from per-link
+//!   latency/bandwidth, rack topology, stragglers and charged compute
+//!   units, and the same seed replays the same event sequence byte for
+//!   byte at any `FLEXGRAPH_THREADS`.
 //!
-//! [`virtual_epoch`] mirrors the threaded trainer's recovery loop: a
-//! scheduled crash fails the attempt, the epoch is re-driven crash-free
-//! on a fresh virtual cluster, and the recovered output is bitwise
-//! identical to a fault-free run. [`simulated_epoch`] keeps the legacy
-//! analytic-sim surface, delegating to the virtual runtime with a
-//! uniform [`NetProfile`] derived from the configured cost model.
+//! Because both run this one program, fault-free features and every
+//! work and traffic counter are identical across the two; only times
+//! differ. Both share the crash-recovery loop of [`crate::runtime`].
 
-use crate::pipeline::{build_leaf_sync, encode_partials, encode_raw_rows, fold_raw_rows, LeafSync};
+use crate::pipeline::{encode_partials, encode_raw_rows, finalize_mean, fold_raw_rows};
+use crate::pipeline::{LeafSync, SlotLevel};
+use crate::runtime::{run_epoch, VirtualRuntime};
 use crate::shard::Shard;
-use crate::trainer::{finish_upper_levels, DistConfig, DistMode, EpochReport};
+use crate::trainer::{DistConfig, DistMode, EpochReport};
+use bytes::Bytes;
 use flexgraph_comm::det::fnv1a;
 use flexgraph_comm::{
-    decode_rows, decode_rows_with, encode_rows, ChaosSchedule, CommError, NetProfile, SimConfig,
-    SimTask, TaskCtx, TaskStep, VirtualCluster, VirtualStats,
+    decode_rows, decode_rows_with, encode_rows, CommError, NetProfile, SimTask, TaskCtx, TaskStep,
 };
+use flexgraph_engine::hybrid::{aggregate_from_groups, aggregate_from_instances, AggrOp, Strategy};
+use flexgraph_engine::MemoryBudget;
 use flexgraph_graph::bfs::k_hop_closure;
 use flexgraph_graph::{Graph, VertexId};
-use flexgraph_obs::{FabricCounters, PartitionRecord, Stage, TraceEpoch};
+use flexgraph_obs::{PartitionRecord, Stage};
 use flexgraph_tensor::scatter::scatter_add;
 use flexgraph_tensor::{scatter_add_gathered_into, Tensor};
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Tag of the leaf-level messages (same as the threaded worker's).
+/// Tag of the leaf-level messages.
 const LEAF_TAG: u32 = 1;
-/// Tag of the mini-batch round-count agreement exchange.
+/// Tag of the mini-batch round-count agreement.
 const ROUNDS_TAG: u32 = 5;
 
-/// Result of a simulated epoch.
-pub struct SimReport {
-    /// Assembled `(num_vertices, d_out)` per-root results (bitwise
-    /// identical to the threaded runtime's output when fault-free).
-    pub features: Tensor,
-    /// Virtual epoch duration: the slowest worker's virtual clock.
-    pub epoch: Duration,
-    /// Sum of per-worker charged virtual compute (diagnostics).
-    pub total_compute: Duration,
-    /// Total bytes that crossed the virtual wire.
-    pub comm_bytes: u64,
-    /// Total messages.
-    pub comm_messages: u64,
-    /// The merged epoch telemetry (stage samples with deterministic
-    /// virtual wall times, per-root costs scaled by straggler factors,
-    /// fabric counters, and the virtual duration) — what
-    /// `AdbController::record_sim_epoch` consumes.
-    pub telemetry: TraceEpoch,
+/// Tag of round `round`'s feature requests; responses use the next tag.
+fn request_tag(round: usize) -> u32 {
+    10 + round as u32 * 2
 }
 
-/// Result of one [`virtual_epoch`]: the threaded-shaped report plus the
+/// Result of one [`virtual_epoch`]: the epoch report plus the
 /// virtual-runtime extras (event log, digests, virtual clocks).
 pub struct VirtualEpochReport {
-    /// The epoch's measurements in the threaded report shape; `wall`
-    /// carries the *virtual* epoch duration.
+    /// The epoch's measurements; `wall` carries the *virtual* epoch
+    /// duration.
     pub report: EpochReport,
     /// Virtual epoch duration (slowest worker's virtual clock).
     pub virtual_time: Duration,
@@ -85,29 +69,10 @@ pub struct VirtualEpochReport {
     pub log_digest: (u64, u64),
 }
 
-/// Runs a simulated distributed epoch on the virtual runtime with a
-/// uniform network derived from `cfg.cost_model` (see module docs).
-pub fn simulated_epoch(graph: &Graph, shards: &[Shard], cfg: &DistConfig) -> SimReport {
-    let net = NetProfile::from_cost_model(&cfg.cost_model);
-    let v = virtual_epoch(graph, shards, cfg, &net);
-    SimReport {
-        features: v.report.features,
-        epoch: v.virtual_time,
-        total_compute: v.total_compute,
-        comm_bytes: v.report.comm_bytes,
-        comm_messages: v.report.comm_messages,
-        telemetry: v.report.telemetry,
-    }
-}
-
 /// Runs one distributed epoch on the deterministic virtual runtime.
 ///
-/// Mirrors the threaded trainer end to end: entry barrier, the mode's
-/// worker algorithm (reusing the exact pipeline helpers, so fault-free
-/// outputs are bitwise identical), per-root cost attribution (scaled by
-/// straggler compute factors so measured-cost balancing sees injected
-/// skew), telemetry merge in rank order, and the crash-recovery re-drive
-/// loop with accumulated fault counters.
+/// Per-root costs are scaled by each worker's straggler compute factor,
+/// so measured-cost balancing sees injected skew.
 ///
 /// # Panics
 ///
@@ -119,783 +84,458 @@ pub fn virtual_epoch(
     cfg: &DistConfig,
     net: &NetProfile,
 ) -> VirtualEpochReport {
-    let k = shards.len();
-    let n = graph.num_vertices();
-    let syncs = build_leaf_sync(shards);
-    let epoch_id = flexgraph_obs::next_epoch();
-
-    let mut recoveries = 0u32;
-    let mut acc = VirtualStats::default();
-    let mut event_log = String::new();
-
-    loop {
-        // The crash is a one-shot fault: re-driven epochs keep the
-        // message-level chaos but the worker stays up (same policy as
-        // the threaded trainer).
-        let chaos = match cfg.chaos {
-            Some(c) if recoveries == 0 => c,
-            Some(c) => c.without_crash(),
-            None => ChaosSchedule::default(),
-        };
-        let sim_cfg = SimConfig {
-            net: net.clone(),
-            retry: cfg.retry,
-            chaos,
-        };
-        let mut cluster = VirtualCluster::new(k, sim_cfg);
-        let mut tasks: Vec<EpochTask> = (0..k)
-            .map(|r| EpochTask::new(&shards[r], &syncs[r], cfg, epoch_id))
-            .collect();
-        cluster.run(&mut tasks);
-
-        let s = *cluster.stats();
-        acc.messages += s.messages;
-        acc.bytes += s.bytes;
-        acc.modeled_ns += s.modeled_ns;
-        acc.retries += s.retries;
-        acc.drops_injected += s.drops_injected;
-        acc.dups_injected += s.dups_injected;
-        acc.redeliveries += s.redeliveries;
-        event_log.push_str(&cluster.take_log());
-
-        let failures: Vec<(usize, CommError)> = tasks
-            .iter()
-            .enumerate()
-            .filter_map(|(r, t)| t.result().as_ref().err().map(|e| (r, e.clone())))
-            .collect();
-        if !failures.is_empty() {
-            recoveries += 1;
-            assert!(
-                recoveries <= cfg.max_recoveries,
-                "epoch unrecoverable after {} re-drives: {failures:?}",
-                recoveries - 1
-            );
-            continue;
-        }
-
-        let virtual_time = Duration::from_nanos(cluster.epoch_vt());
-        let total_compute = Duration::from_nanos(cluster.total_compute_ns());
-        let d_out = tasks[0].result().as_ref().expect("no failures").cols();
-        let mut features = Tensor::zeros(n, d_out);
-        let mut telemetry = TraceEpoch::new(epoch_id);
-        for (rank, task) in tasks.into_iter().enumerate() {
-            let (out, rec) = task.into_parts();
-            let out = out.expect("no failures");
-            for (i, &v) in shards[rank].roots.iter().enumerate() {
-                features.row_mut(v as usize).copy_from_slice(out.row(i));
-            }
-            telemetry.absorb(rec);
-        }
-        // Traffic of the successful attempt is deterministic; the
-        // fault-path counters carry the totals across all attempts.
-        telemetry.fabric = FabricCounters {
-            bytes: s.bytes,
-            messages: s.messages,
-            retries: acc.retries,
-            drops_injected: acc.drops_injected,
-            redeliveries: acc.redeliveries,
-        };
-        telemetry.virtual_ns = cluster.epoch_vt();
-        flexgraph_obs::emit_epoch(&telemetry);
-
-        let log_digest = (event_log.len() as u64, fnv1a(event_log.as_bytes()));
-        let report = EpochReport {
-            features,
-            wall: virtual_time,
-            comm_bytes: acc.bytes,
-            comm_messages: acc.messages,
-            modeled_comm_us: acc.modeled_ns as f64 / 1_000.0,
-            retries: acc.retries,
-            drops_injected: acc.drops_injected,
-            redeliveries: acc.redeliveries,
-            recoveries,
-            telemetry,
-        };
-        return VirtualEpochReport {
-            report,
-            virtual_time,
-            total_compute,
-            event_log,
-            log_digest,
-        };
+    let (report, total_compute, event_log) =
+        run_epoch(&VirtualRuntime::new(net.clone()), graph, shards, cfg);
+    VirtualEpochReport {
+        virtual_time: report.wall,
+        total_compute,
+        log_digest: (event_log.len() as u64, fnv1a(event_log.as_bytes())),
+        event_log,
+        report,
     }
 }
 
-/// Adds one stage sample (`invocations += 1`) with deterministic virtual
-/// wall nanoseconds.
-fn record_stage(rec: &mut PartitionRecord, stage: Stage, work: u64, wall_ns: u64) {
-    let s = rec.stage_mut(stage);
-    s.invocations += 1;
-    s.work += work;
-    s.wall_ns += wall_ns;
-}
-
-/// Virtual analogue of the trainer's root-cost attribution, written
-/// straight into the task's record (the thread-local probe is inactive
-/// inside the scheduler) and scaled by the straggler compute factor so
-/// measured-cost balancing sees injected skew.
-fn attribute_root_costs_scaled(
+/// Completes the levels above the slots, dispatching on the slot level.
+fn finish_upper_levels(
     shard: &Shard,
     sync: &LeafSync,
-    factor: f64,
-    rec: &mut PartitionRecord,
-) {
-    let d = shard.feats.cols() as u64;
-    let t = shard.hdg.num_types() as u64;
-    for r in 0..shard.hdg.num_roots() {
-        let lo = sync.root_slot_off[r];
-        let hi = sync.root_slot_off[r + 1];
-        let leaf_entries: u64 = sync.slot_counts[lo..hi].iter().map(|&c| c as u64).sum();
-        let instances = shard.hdg.instances_of_root(r) as u64;
-        let units = 5 + (leaf_entries + instances + t) * d;
-        rec.add_root_cost(shard.roots[r], (units as f64 * factor) as u64);
+    mut slots: Tensor,
+    cfg: &DistConfig,
+) -> Tensor {
+    if cfg.leaf_op == AggrOp::Mean {
+        finalize_mean(&mut slots, &sync.slot_counts);
     }
+    // The mini-batch baselines have no hybrid executor: sparse ops.
+    let strategy = match cfg.mode {
+        DistMode::FlexGraph { .. } => cfg.strategy,
+        _ => Strategy::Sa,
+    };
+    let budget = MemoryBudget::unlimited();
+    match sync.level {
+        SlotLevel::Instances => {
+            aggregate_from_instances(&shard.hdg, &slots, &cfg.plan, strategy, &budget)
+        }
+        SlotLevel::Groups => aggregate_from_groups(&shard.hdg, slots, &cfg.plan, strategy, &budget),
+    }
+    .expect("unbudgeted upper-level aggregation cannot fail")
+    .features
 }
 
-/// One worker task of either execution mode.
-#[allow(clippy::large_enum_variant)]
-enum EpochTask<'a> {
-    Flex(FlexTask<'a>),
-    Mini(MiniTask<'a>),
-}
-
-impl<'a> EpochTask<'a> {
-    fn new(shard: &'a Shard, sync: &'a LeafSync, cfg: &'a DistConfig, epoch_id: u64) -> Self {
-        match cfg.mode {
-            DistMode::FlexGraph { pipeline } => {
-                Self::Flex(FlexTask::new(shard, sync, cfg, pipeline, epoch_id))
-            }
-            DistMode::EulerLike { batch_size } => {
-                Self::Mini(MiniTask::new(shard, sync, cfg, batch_size, None, epoch_id))
-            }
-            DistMode::DistDglLike { batch_size, hops } => Self::Mini(MiniTask::new(
-                shard,
-                sync,
-                cfg,
-                batch_size,
-                Some(hops),
-                epoch_id,
-            )),
-        }
-    }
-
-    /// The finished task's outcome (valid after `VirtualCluster::run`).
-    fn result(&self) -> &Result<Tensor, CommError> {
-        match self {
-            Self::Flex(t) => t.out.as_ref().expect("task finished"),
-            Self::Mini(t) => t.out.as_ref().expect("task finished"),
-        }
-    }
-
-    fn into_parts(self) -> (Result<Tensor, CommError>, PartitionRecord) {
-        match self {
-            Self::Flex(t) => (t.out.expect("task finished"), t.rec),
-            Self::Mini(t) => (t.out.expect("task finished"), t.rec),
-        }
-    }
-}
-
-impl SimTask for EpochTask<'_> {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskStep {
-        match self {
-            Self::Flex(t) => t.step(ctx),
-            Self::Mini(t) => t.step(ctx),
-        }
-    }
-}
-
+/// Where a worker is in its epoch.
 #[derive(Clone, Copy)]
-enum FlexState {
+enum State {
     Entry,
-    Send,
-    Fold { p: usize },
+    /// FlexGraph: ship leaf rows or partials to every peer.
+    LeafSend,
+    /// FlexGraph: receive them in rank order.
+    LeafRecv,
+    /// Mini-batch: agree on the number of rounds.
+    RoundsSend,
+    RoundsRecv,
+    /// Mini-batch round: request the batch's remote rows...
+    Request {
+        round: usize,
+    },
+    /// ...answer the peers' requests...
+    Serve {
+        round: usize,
+    },
+    /// ...and aggregate the batch once the responses are in.
+    Response {
+        round: usize,
+    },
+    /// Upper levels, Update, and per-root cost attribution.
     Finish,
 }
 
-/// The FlexGraph worker as a cooperative state machine: the exact
-/// send/fold sequence of `leaf_level_pipelined` / `leaf_level_unpipelined`
-/// (same helpers, same rank order — bitwise-identical outputs), with
-/// compute charged in the stages' deterministic work units.
-struct FlexTask<'a> {
+/// One worker's epoch: a step machine for its [`DistMode`].
+///
+/// * FlexGraph, pipelined: send per-peer partials (or deduplicated raw
+///   rows, whichever is smaller), fold the local leaves while they are
+///   in flight, then fold the arrivals in rank order (§5).
+/// * FlexGraph, unpipelined (the dataflow baseline): send raw rows and
+///   aggregate only after every peer's rows have arrived.
+/// * Euler-like / DistDGL-like: per batch of roots, fetch the selected
+///   neighbors' (or the whole k-hop closure's) raw rows by request and
+///   response, then aggregate with materializing sparse ops.
+///
+/// Folds run in rank order, and f32 addition is not associative: that
+/// pinned order is what keeps outputs bitwise identical under any
+/// scheduler and any chaos schedule.
+pub struct EpochTask<'a> {
     shard: &'a Shard,
     sync: &'a LeafSync,
     cfg: &'a DistConfig,
-    pipeline: bool,
-    state: FlexState,
+    state: State,
+    /// Next peer of the current rank-ordered receive sweep.
+    peer: usize,
     slots: Option<Tensor>,
-    /// Unpipelined receive table: dense vertex → payload offset.
-    remote_off: Vec<u32>,
-    remote_flat: Vec<f32>,
-    fold_entries: u64,
-    fold_ns: u64,
-    rec: PartitionRecord,
-    out: Option<Result<Tensor, CommError>>,
+    /// Unpipelined: raw-row payloads held until the last one arrives.
+    held: Vec<(usize, Bytes)>,
+    /// Mini-batch: rounds every worker runs, and this round's fetched
+    /// rows by vertex.
+    rounds: usize,
+    responses: HashMap<u32, Vec<f32>>,
+    /// `(work, ns)` of a stage that spans several steps.
+    stage_acc: (u64, u64),
+    /// This worker's telemetry.
+    pub(crate) rec: PartitionRecord,
+    /// Set when the task is done.
+    pub(crate) out: Option<Result<Tensor, CommError>>,
 }
 
-impl<'a> FlexTask<'a> {
-    fn new(
+impl<'a> EpochTask<'a> {
+    pub(crate) fn new(
         shard: &'a Shard,
         sync: &'a LeafSync,
         cfg: &'a DistConfig,
-        pipeline: bool,
         epoch_id: u64,
     ) -> Self {
         let mut rec = PartitionRecord::new(epoch_id, shard.rank as u32);
-        rec.pipelined = pipeline;
+        rec.pipelined = cfg.mode == DistMode::FlexGraph { pipeline: true };
         Self {
             shard,
             sync,
             cfg,
-            pipeline,
-            state: FlexState::Entry,
+            state: State::Entry,
+            peer: 0,
             slots: None,
-            remote_off: Vec::new(),
-            remote_flat: Vec::new(),
-            fold_entries: 0,
-            fold_ns: 0,
+            held: Vec::new(),
+            rounds: 0,
+            responses: HashMap::new(),
+            stage_acc: (0, 0),
             rec,
             out: None,
         }
     }
 
-    fn fail(&mut self, e: CommError) -> TaskStep {
-        self.out = Some(Err(e));
-        TaskStep::Done
+    fn record(&mut self, stage: Stage, work: u64, wall_ns: u64) {
+        let s = self.rec.stage_mut(stage);
+        s.invocations += 1;
+        s.work += work;
+        s.wall_ns += wall_ns;
     }
-}
 
-impl SimTask for FlexTask<'_> {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskStep {
-        // A latched peer failure aborts the attempt wherever the task
-        // was parked (the wake after a latch fires only once — never
-        // re-park past this point).
-        if let Some(e) = ctx.failed() {
-            if self.out.is_none() {
-                self.out = Some(Err(e));
-            }
-            return TaskStep::Done;
+    /// Counts the message in this worker's record, then sends it.
+    fn send(
+        &mut self,
+        ctx: &mut TaskCtx<'_>,
+        to: usize,
+        tag: u32,
+        payload: Bytes,
+        partial: bool,
+    ) -> Result<(), CommError> {
+        let c = &mut self.rec.comm;
+        c.messages += 1;
+        c.bytes += payload.len() as u64;
+        if partial {
+            c.partial_msgs += 1;
+        } else {
+            c.raw_msgs += 1;
         }
-        let k = ctx.num_workers();
-        let me = ctx.rank();
-        let d = self.shard.feats.cols();
+        ctx.send(to, tag, payload)
+    }
+
+    /// The rank-ordered receive sweep: the next peer's payload with
+    /// `tag`, `Ok(None)` once every peer has been heard from, or the
+    /// wait to return.
+    fn sweep(
+        &mut self,
+        ctx: &mut TaskCtx<'_>,
+        tag: u32,
+    ) -> Result<Option<(usize, Bytes)>, TaskStep> {
+        if self.peer == ctx.rank() {
+            self.peer += 1;
+        }
+        if self.peer >= ctx.num_workers() {
+            self.peer = 0;
+            return Ok(None);
+        }
+        let from = self.peer;
+        let payload = ctx
+            .try_recv(from, tag)
+            .ok_or(TaskStep::Recv { from, tag })?;
+        self.peer += 1;
+        Ok(Some((from, payload)))
+    }
+
+    /// The planned slot-owned fold of the locally owned leaves.
+    fn fold_local(&mut self, ctx: &mut TaskCtx<'_>) {
+        let (feats, sync) = (&self.shard.feats, self.sync);
+        let mut slots = Tensor::zeros(sync.num_slots, feats.cols());
+        scatter_add_gathered_into(&mut slots, feats, &sync.local_rows, &sync.local_plan);
+        let work = sync.local_rows.len() as u64 * feats.cols() as u64;
+        let ns = ctx.charge(work);
+        self.record(Stage::LeafLocal, work, ns);
+        self.slots = Some(slots);
+    }
+
+    /// The `(lo_root, hi_root, lo_slot, hi_slot)` ranges of one batch.
+    fn batch(&self, round: usize, batch_size: usize) -> (usize, usize, usize, usize) {
+        let lo = (round * batch_size).min(self.shard.roots.len());
+        let hi = ((round + 1) * batch_size).min(self.shard.roots.len());
+        let off = &self.sync.root_slot_off;
+        (lo, hi, off[lo], off[hi])
+    }
+
+    /// Steps until the task must wait or is done.
+    fn advance(&mut self, ctx: &mut TaskCtx<'_>) -> Result<TaskStep, CommError> {
+        let (k, me) = (ctx.num_workers(), ctx.rank());
+        let (shard, sync, cfg) = (self.shard, self.sync, self.cfg);
+        let d = shard.feats.cols();
+        let pipeline = cfg.mode == DistMode::FlexGraph { pipeline: true };
+        let (batch_size, hops) = match cfg.mode {
+            DistMode::FlexGraph { .. } => (0, None),
+            DistMode::EulerLike { batch_size } => (batch_size.max(1), None),
+            DistMode::DistDglLike { batch_size, hops } => (batch_size.max(1), Some(hops)),
+        };
         loop {
             match self.state {
-                FlexState::Entry => {
-                    self.state = FlexState::Send;
-                    return TaskStep::Barrier;
-                }
-                FlexState::Send => {
-                    let mut sent_bytes = 0u64;
-                    let mut send_ns = 0u64;
-                    for p in 0..k {
-                        if p == me {
-                            continue;
-                        }
-                        // The pipelined sender picks the cheaper wire
-                        // form per peer; the unpipelined baseline always
-                        // ships raw rows.
-                        let partial = self.pipeline && self.sync.partial_to[p];
-                        let payload = if partial {
-                            encode_partials(self.sync, &self.shard.feats, p, d)
-                        } else {
-                            encode_raw_rows(self.sync, &self.shard.feats, self.shard, p, d)
-                        };
-                        let len = payload.len() as u64;
-                        sent_bytes += len;
-                        send_ns += ctx.charge(len);
-                        self.rec.comm.messages += 1;
-                        self.rec.comm.bytes += len;
-                        if partial {
-                            self.rec.comm.partial_msgs += 1;
-                        } else {
-                            self.rec.comm.raw_msgs += 1;
-                        }
-                        if let Err(e) = ctx.send(p, LEAF_TAG, payload) {
-                            return self.fail(e);
-                        }
-                    }
-                    record_stage(&mut self.rec, Stage::LeafSend, sent_bytes, send_ns);
-                    if self.pipeline {
-                        // Local planned fold overlaps the in-flight
-                        // partials — charged before any receive parks.
-                        let mut slots = Tensor::zeros(self.sync.num_slots, d);
-                        scatter_add_gathered_into(
-                            &mut slots,
-                            &self.shard.feats,
-                            &self.sync.local_rows,
-                            &self.sync.local_plan,
-                        );
-                        let work = self.sync.local_rows.len() as u64 * d as u64;
-                        let ns = ctx.charge(work);
-                        record_stage(&mut self.rec, Stage::LeafLocal, work, ns);
-                        self.slots = Some(slots);
+                State::Entry => {
+                    self.state = if batch_size == 0 {
+                        State::LeafSend
                     } else {
-                        self.remote_off = vec![u32::MAX; self.shard.owner.len()];
-                    }
-                    self.state = FlexState::Fold { p: 0 };
-                }
-                FlexState::Fold { p } if p >= k => {
-                    if self.pipeline {
-                        record_stage(
-                            &mut self.rec,
-                            Stage::LeafFold,
-                            self.fold_entries * d as u64,
-                            self.fold_ns,
-                        );
-                    } else {
-                        // Dataflow semantics: aggregate only after every
-                        // remote row has arrived.
-                        let mut slots = Tensor::zeros(self.sync.num_slots, d);
-                        scatter_add_gathered_into(
-                            &mut slots,
-                            &self.shard.feats,
-                            &self.sync.local_rows,
-                            &self.sync.local_plan,
-                        );
-                        let lwork = self.sync.local_rows.len() as u64 * d as u64;
-                        let lns = ctx.charge(lwork);
-                        record_stage(&mut self.rec, Stage::LeafLocal, lwork, lns);
-                        for &(i, leaf) in &self.sync.remote_edges {
-                            let off = self.remote_off[leaf as usize];
-                            debug_assert_ne!(off, u32::MAX, "peer shipped every depended-on row");
-                            let dst = slots.row_mut(i as usize);
-                            let src = &self.remote_flat[off as usize..off as usize + d];
-                            for (o, &x) in dst.iter_mut().zip(src) {
-                                *o += x;
-                            }
-                        }
-                        let fwork = self.sync.remote_edges.len() as u64 * d as u64;
-                        let fns = ctx.charge(fwork);
-                        record_stage(&mut self.rec, Stage::LeafFold, fwork, fns);
-                        self.slots = Some(slots);
-                    }
-                    self.state = FlexState::Finish;
-                }
-                FlexState::Fold { p } if p == me => {
-                    self.state = FlexState::Fold { p: p + 1 };
-                }
-                FlexState::Fold { p } => {
-                    let Some(msg) = ctx.try_recv(p, LEAF_TAG) else {
-                        return TaskStep::Recv {
-                            from: p,
-                            tag: LEAF_TAG,
-                        };
+                        State::RoundsSend
                     };
-                    if self.pipeline {
-                        // Fold in rank order — the same pinned order the
-                        // threaded worker uses for bitwise determinism.
+                    return Ok(TaskStep::Barrier);
+                }
+                State::LeafSend => {
+                    let (mut bytes, mut ns) = (0, 0);
+                    for p in (0..k).filter(|&p| p != me) {
+                        // The pipelined sender picks the cheaper wire form
+                        // per peer; the baseline always ships raw rows.
+                        let partial = pipeline && sync.partial_to[p];
+                        let payload = if partial {
+                            encode_partials(sync, &shard.feats, p, d)
+                        } else {
+                            encode_raw_rows(sync, &shard.feats, shard, p, d)
+                        };
+                        bytes += payload.len() as u64;
+                        ns += ctx.charge(payload.len() as u64);
+                        self.send(ctx, p, LEAF_TAG, payload, partial)?;
+                    }
+                    self.record(Stage::LeafSend, bytes, ns);
+                    if pipeline {
+                        // Overlaps the in-flight messages.
+                        self.fold_local(ctx);
+                    }
+                    self.state = State::LeafRecv;
+                }
+                State::LeafRecv => match self.sweep(ctx, LEAF_TAG) {
+                    Err(wait) => return Ok(wait),
+                    Ok(Some((p, payload))) if pipeline => {
                         let slots = self.slots.as_mut().expect("local fold done");
-                        if self.sync.partial_from[p] {
+                        let entries = if sync.partial_from[p] {
                             let mut rows = 0u64;
-                            let dim = decode_rows_with(&msg.payload, |i, row| {
+                            decode_rows_with(&payload, |i, row| {
                                 rows += 1;
-                                let dst = slots.row_mut(i as usize);
-                                for (o, &x) in dst.iter_mut().zip(row) {
+                                for (o, &x) in slots.row_mut(i as usize).iter_mut().zip(row) {
                                     *o += x;
                                 }
                             });
-                            debug_assert_eq!(dim, d);
-                            self.fold_entries += rows;
-                            self.fold_ns += ctx.charge(rows * d as u64);
+                            rows
                         } else {
-                            fold_raw_rows(
-                                self.sync,
-                                slots,
-                                &msg.payload,
-                                p,
-                                d,
-                                self.shard.owner.len(),
-                            );
-                            let entries = self.sync.remote_edges_by_owner[p].len() as u64;
-                            self.fold_entries += entries;
-                            self.fold_ns += ctx.charge(entries * d as u64);
-                        }
-                    } else {
-                        // Table fill only; the fold happens after the
-                        // last arrival (and its order follows
-                        // `remote_edges`, so receive order is moot).
-                        let dim = decode_rows_with(&msg.payload, |v, row| {
-                            self.remote_off[v as usize] = self.remote_flat.len() as u32;
-                            self.remote_flat.extend_from_slice(row);
-                        });
-                        debug_assert_eq!(dim, d);
-                    }
-                    self.state = FlexState::Fold { p: p + 1 };
-                }
-                FlexState::Finish => {
-                    let slots = self.slots.take().expect("leaf level complete");
-                    let upper_work = (self.sync.num_slots
-                        + self.shard.hdg.num_instances()
-                        + self.shard.hdg.num_roots()) as u64
-                        * d as u64;
-                    let out = finish_upper_levels(
-                        self.shard,
-                        self.sync,
-                        slots,
-                        self.cfg.leaf_op,
-                        &self.cfg.plan,
-                        self.cfg.strategy,
-                    );
-                    let ns = ctx.charge(upper_work);
-                    record_stage(&mut self.rec, Stage::Upper, upper_work, ns);
-                    let out = match &self.cfg.update_weight {
-                        Some(w) => {
-                            let work = out.rows() as u64 * out.cols() as u64 * w.cols() as u64;
-                            let mut o = out.matmul(w);
-                            o.relu_inplace();
-                            let ns = ctx.charge(work);
-                            record_stage(&mut self.rec, Stage::Update, work, ns);
-                            o
-                        }
-                        None => out,
-                    };
-                    attribute_root_costs_scaled(
-                        self.shard,
-                        self.sync,
-                        ctx.compute_factor(),
-                        &mut self.rec,
-                    );
-                    self.out = Some(Ok(out));
-                    return TaskStep::Done;
-                }
-            }
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum MiniState {
-    Entry,
-    SyncSend,
-    SyncRecv { p: usize },
-    RoundStart { round: usize },
-    ServeRecv { round: usize, p: usize },
-    RespRecv { round: usize, p: usize },
-    Finish,
-}
-
-/// The mini-batch worker (Euler-like / DistDGL-like) as a cooperative
-/// state machine: round-count agreement, then per-round request → serve
-/// → response → aggregate, mirroring `minibatch_worker_epoch` exactly.
-/// Receives are rank-ordered where the threaded worker accepts any
-/// source — safe, because serving is per-request and the response table
-/// is keyed by vertex, so arrival order never reaches the arithmetic.
-struct MiniTask<'a> {
-    shard: &'a Shard,
-    sync: &'a LeafSync,
-    cfg: &'a DistConfig,
-    batch_size: usize,
-    hops: Option<usize>,
-    state: MiniState,
-    rounds: usize,
-    slots: Option<Tensor>,
-    responses: HashMap<u32, Vec<f32>>,
-    served_bytes: u64,
-    serve_ns: u64,
-    rec: PartitionRecord,
-    out: Option<Result<Tensor, CommError>>,
-}
-
-impl<'a> MiniTask<'a> {
-    fn new(
-        shard: &'a Shard,
-        sync: &'a LeafSync,
-        cfg: &'a DistConfig,
-        batch_size: usize,
-        hops: Option<usize>,
-        epoch_id: u64,
-    ) -> Self {
-        Self {
-            shard,
-            sync,
-            cfg,
-            batch_size,
-            hops,
-            state: MiniState::Entry,
-            rounds: 0,
-            slots: None,
-            responses: HashMap::new(),
-            served_bytes: 0,
-            serve_ns: 0,
-            rec: PartitionRecord::new(epoch_id, shard.rank as u32),
-            out: None,
-        }
-    }
-
-    fn fail(&mut self, e: CommError) -> TaskStep {
-        self.out = Some(Err(e));
-        TaskStep::Done
-    }
-
-    /// Slot range of one batch's roots.
-    fn batch_slots(&self, round: usize) -> (usize, usize, usize, usize) {
-        let n_roots = self.shard.roots.len();
-        let lo_root = round * self.batch_size;
-        let hi_root = ((round + 1) * self.batch_size).min(n_roots);
-        if lo_root >= hi_root {
-            return (lo_root, lo_root, 0, 0);
-        }
-        (
-            lo_root,
-            hi_root,
-            self.sync.root_slot_off[lo_root],
-            self.sync.root_slot_off[hi_root],
-        )
-    }
-}
-
-impl SimTask for MiniTask<'_> {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskStep {
-        if let Some(e) = ctx.failed() {
-            if self.out.is_none() {
-                self.out = Some(Err(e));
-            }
-            return TaskStep::Done;
-        }
-        let k = ctx.num_workers();
-        let me = ctx.rank();
-        let d = self.shard.feats.cols();
-        let n_roots = self.shard.roots.len();
-        loop {
-            match self.state {
-                MiniState::Entry => {
-                    self.state = MiniState::SyncSend;
-                    return TaskStep::Barrier;
-                }
-                MiniState::SyncSend => {
-                    // All workers must run the same number of rounds.
-                    self.rounds = n_roots.div_ceil(self.batch_size.max(1));
-                    let payload = encode_rows(0, &[(self.rounds as u32, [].as_slice())]);
-                    for p in 0..k {
-                        if p == me {
-                            continue;
-                        }
-                        if let Err(e) = ctx.send(p, ROUNDS_TAG, payload.clone()) {
-                            return self.fail(e);
-                        }
-                    }
-                    self.state = MiniState::SyncRecv { p: 0 };
-                }
-                MiniState::SyncRecv { p } if p >= k => {
-                    // Local leaf edges need no fetch: aggregate up front,
-                    // serially (mirroring the threaded worker, which
-                    // keeps outputs bitwise comparable).
-                    let mut slots = Tensor::zeros(self.sync.num_slots, d);
-                    for &(i, row) in &self.sync.local_edges {
-                        let dst = slots.row_mut(i as usize);
-                        for (o, &x) in dst.iter_mut().zip(self.shard.feats.row(row as usize)) {
-                            *o += x;
-                        }
-                    }
-                    let work = self.sync.local_edges.len() as u64 * d as u64;
-                    let ns = ctx.charge(work);
-                    record_stage(&mut self.rec, Stage::LeafLocal, work, ns);
-                    self.slots = Some(slots);
-                    self.state = MiniState::RoundStart { round: 0 };
-                }
-                MiniState::SyncRecv { p } if p == me => {
-                    self.state = MiniState::SyncRecv { p: p + 1 };
-                }
-                MiniState::SyncRecv { p } => {
-                    let Some(msg) = ctx.try_recv(p, ROUNDS_TAG) else {
-                        return TaskStep::Recv {
-                            from: p,
-                            tag: ROUNDS_TAG,
+                            fold_raw_rows(sync, slots, &payload, p, d, shard.owner.len());
+                            sync.remote_edges_by_owner[p].len() as u64
                         };
-                    };
-                    let (_, rows) = decode_rows(msg.payload);
-                    self.rounds = self.rounds.max(rows[0].0 as usize);
-                    self.state = MiniState::SyncRecv { p: p + 1 };
+                        self.stage_acc.0 += entries * d as u64;
+                        self.stage_acc.1 += ctx.charge(entries * d as u64);
+                    }
+                    Ok(Some(arrival)) => self.held.push(arrival),
+                    Ok(None) => {
+                        if !pipeline {
+                            // Dataflow semantics: aggregate only after
+                            // every remote row has arrived.
+                            self.fold_local(ctx);
+                            let slots = self.slots.as_mut().expect("local fold done");
+                            for (p, payload) in self.held.drain(..) {
+                                fold_raw_rows(sync, slots, &payload, p, d, shard.owner.len());
+                            }
+                            let work = sync.remote_edges.len() as u64 * d as u64;
+                            self.stage_acc = (work, ctx.charge(work));
+                        }
+                        let (work, ns) = std::mem::take(&mut self.stage_acc);
+                        self.record(Stage::LeafFold, work, ns);
+                        self.state = State::Finish;
+                    }
+                },
+                State::RoundsSend => {
+                    self.rounds = shard.roots.len().div_ceil(batch_size);
+                    let payload = encode_rows(0, &[(self.rounds as u32, [].as_slice())]);
+                    for p in (0..k).filter(|&p| p != me) {
+                        ctx.send(p, ROUNDS_TAG, payload.clone())?;
+                    }
+                    self.state = State::RoundsRecv;
                 }
-                MiniState::RoundStart { round } if round >= self.rounds => {
-                    self.state = MiniState::Finish;
-                }
-                MiniState::RoundStart { round } => {
-                    self.responses.clear();
-                    let (lo_root, hi_root, lo_s, hi_s) = self.batch_slots(round);
-                    let mut needed: Vec<VertexId> = if lo_root < hi_root {
-                        match self.hops {
-                            None => self
-                                .sync
-                                .remote_edges
-                                .iter()
-                                .filter(|&&(i, _)| (i as usize) >= lo_s && (i as usize) < hi_s)
-                                .map(|&(_, v)| v)
-                                .collect(),
-                            Some(h) => {
-                                let batch: Vec<VertexId> =
-                                    self.shard.roots[lo_root..hi_root].to_vec();
-                                let graph = self.shard.graph.as_deref().expect(
-                                    "DistDGL-like mode needs shards built with a graph reference",
-                                );
-                                k_hop_closure(graph, &batch, h)
-                                    .into_iter()
-                                    .filter(|&v| self.shard.owner[v as usize] as usize != me)
-                                    .collect()
+                State::RoundsRecv => match self.sweep(ctx, ROUNDS_TAG) {
+                    Err(wait) => return Ok(wait),
+                    Ok(Some((_, payload))) => {
+                        let (_, rows) = decode_rows(payload);
+                        self.rounds = self.rounds.max(rows[0].0 as usize);
+                    }
+                    Ok(None) => {
+                        // Local leaf edges need no fetch: aggregate them
+                        // up front, serially.
+                        let mut slots = Tensor::zeros(sync.num_slots, d);
+                        for &(i, row) in &sync.local_edges {
+                            let src = shard.feats.row(row as usize);
+                            for (o, &x) in slots.row_mut(i as usize).iter_mut().zip(src) {
+                                *o += x;
                             }
                         }
-                    } else {
-                        Vec::new()
+                        let work = sync.local_edges.len() as u64 * d as u64;
+                        let ns = ctx.charge(work);
+                        self.record(Stage::LeafLocal, work, ns);
+                        self.slots = Some(slots);
+                        self.state = State::Request { round: 0 };
+                    }
+                },
+                State::Request { round } if round >= self.rounds => self.state = State::Finish,
+                State::Request { round } => {
+                    let (lo_root, hi_root, lo_s, hi_s) = self.batch(round, batch_size);
+                    let mut needed: Vec<VertexId> = match hops {
+                        _ if lo_root == hi_root => Vec::new(),
+                        None => sync
+                            .remote_edges
+                            .iter()
+                            .filter(|&&(i, _)| (lo_s..hi_s).contains(&(i as usize)))
+                            .map(|&(_, v)| v)
+                            .collect(),
+                        // Full closure expansion — the DistDGL blow-up.
+                        Some(h) => {
+                            let graph = shard.graph.as_deref().expect(
+                                "DistDGL-like mode needs shards built with a graph reference",
+                            );
+                            k_hop_closure(graph, &shard.roots[lo_root..hi_root], h)
+                                .into_iter()
+                                .filter(|&v| shard.owner[v as usize] as usize != me)
+                                .collect()
+                        }
                     };
                     needed.sort_unstable();
                     needed.dedup();
                     ctx.charge((hi_root - lo_root) as u64 + needed.len() as u64);
-
-                    let mut by_owner: Vec<Vec<u32>> = vec![Vec::new(); k];
+                    let mut by_owner: Vec<Vec<(u32, &[f32])>> = vec![Vec::new(); k];
                     for v in needed {
-                        by_owner[self.shard.owner[v as usize] as usize].push(v);
+                        by_owner[shard.owner[v as usize] as usize].push((v, &[]));
                     }
-                    let req_tag = 10 + round as u32 * 2;
-                    for (p, ids) in by_owner.iter().enumerate() {
-                        if p == me {
-                            continue;
-                        }
-                        let rows: Vec<(u32, &[f32])> =
-                            ids.iter().map(|&v| (v, [].as_slice())).collect();
-                        let payload = encode_rows(0, &rows);
-                        self.rec.comm.messages += 1;
-                        self.rec.comm.bytes += payload.len() as u64;
-                        self.rec.comm.raw_msgs += 1;
-                        if let Err(e) = ctx.send(p, req_tag, payload) {
-                            return self.fail(e);
-                        }
+                    for (p, ids) in by_owner.iter().enumerate().filter(|&(p, _)| p != me) {
+                        self.send(ctx, p, request_tag(round), encode_rows(0, ids), false)?;
                     }
-                    self.state = MiniState::ServeRecv { round, p: 0 };
+                    self.responses.clear();
+                    self.state = State::Serve { round };
                 }
-                MiniState::ServeRecv { round, p } if p >= k => {
-                    record_stage(
-                        &mut self.rec,
-                        Stage::Serve,
-                        self.served_bytes,
-                        self.serve_ns,
-                    );
-                    self.served_bytes = 0;
-                    self.serve_ns = 0;
-                    self.state = MiniState::RespRecv { round, p: 0 };
-                }
-                MiniState::ServeRecv { round, p } if p == me => {
-                    self.state = MiniState::ServeRecv { round, p: p + 1 };
-                }
-                MiniState::ServeRecv { round, p } => {
-                    let req_tag = 10 + round as u32 * 2;
-                    let Some(msg) = ctx.try_recv(p, req_tag) else {
-                        return TaskStep::Recv {
-                            from: p,
-                            tag: req_tag,
-                        };
-                    };
-                    let (_, ids) = decode_rows(msg.payload);
-                    let rows: Vec<(u32, Vec<f32>)> = ids
-                        .into_iter()
-                        .map(|(v, _)| {
-                            let r = self.shard.row_of(v);
-                            (v, self.shard.feats.row(r as usize).to_vec())
-                        })
-                        .collect();
-                    let refs: Vec<(u32, &[f32])> =
-                        rows.iter().map(|(v, r)| (*v, r.as_slice())).collect();
-                    let payload = encode_rows(d, &refs);
-                    let len = payload.len() as u64;
-                    self.served_bytes += len;
-                    self.serve_ns += ctx.charge(len);
-                    self.rec.comm.messages += 1;
-                    self.rec.comm.bytes += len;
-                    self.rec.comm.raw_msgs += 1;
-                    if let Err(e) = ctx.send(p, req_tag + 1, payload) {
-                        return self.fail(e);
+                State::Serve { round } => match self.sweep(ctx, request_tag(round)) {
+                    Err(wait) => return Ok(wait),
+                    Ok(Some((p, payload))) => {
+                        let (_, ids) = decode_rows(payload);
+                        let rows: Vec<(u32, &[f32])> = ids
+                            .iter()
+                            .map(|&(v, _)| (v, shard.feats.row(shard.row_of(v) as usize)))
+                            .collect();
+                        let payload = encode_rows(d, &rows);
+                        let len = payload.len() as u64;
+                        self.stage_acc.0 += len;
+                        self.stage_acc.1 += ctx.charge(len);
+                        self.send(ctx, p, request_tag(round) + 1, payload, false)?;
                     }
-                    self.state = MiniState::ServeRecv { round, p: p + 1 };
-                }
-                MiniState::RespRecv { round, p } if p >= k => {
-                    // Sparse (materializing) aggregation of the batch's
-                    // remote edges — the baseline execution shape.
-                    let (lo_root, hi_root, lo_s, hi_s) = self.batch_slots(round);
-                    if lo_root < hi_root {
-                        let edges: Vec<(u32, VertexId)> = self
-                            .sync
+                    Ok(None) => {
+                        let (work, ns) = std::mem::take(&mut self.stage_acc);
+                        self.record(Stage::Serve, work, ns);
+                        self.state = State::Response { round };
+                    }
+                },
+                State::Response { round } => match self.sweep(ctx, request_tag(round) + 1) {
+                    Err(wait) => return Ok(wait),
+                    Ok(Some((_, payload))) => self.responses.extend(decode_rows(payload).1),
+                    Ok(None) => {
+                        // Materialize one row per remote edge, then
+                        // scatter — the baseline execution shape.
+                        let (_, _, lo_s, hi_s) = self.batch(round, batch_size);
+                        let edges: Vec<&(u32, VertexId)> = sync
                             .remote_edges
                             .iter()
-                            .filter(|&&(i, _)| (i as usize) >= lo_s && (i as usize) < hi_s)
-                            .copied()
+                            .filter(|&&(i, _)| (lo_s..hi_s).contains(&(i as usize)))
                             .collect();
                         if !edges.is_empty() {
                             let mut messages = Tensor::zeros(edges.len(), d);
-                            let mut dst = Vec::with_capacity(edges.len());
-                            for (e, &(i, v)) in edges.iter().enumerate() {
+                            for (e, &&(_, v)) in edges.iter().enumerate() {
                                 let row = self
                                     .responses
                                     .get(&v)
                                     .expect("closure fetch covers every leaf dependency");
                                 messages.row_mut(e).copy_from_slice(row);
-                                dst.push(i);
                             }
-                            let partial = scatter_add(&messages, &dst, self.sync.num_slots);
+                            let dst: Vec<u32> = edges.iter().map(|&&(i, _)| i).collect();
+                            let partial = scatter_add(&messages, &dst, sync.num_slots);
                             self.slots
                                 .as_mut()
                                 .expect("slots ready")
                                 .add_assign(&partial);
                             ctx.charge(edges.len() as u64 * d as u64);
                         }
+                        self.state = State::Request { round: round + 1 };
                     }
-                    self.state = MiniState::RoundStart { round: round + 1 };
-                }
-                MiniState::RespRecv { round, p } if p == me => {
-                    self.state = MiniState::RespRecv { round, p: p + 1 };
-                }
-                MiniState::RespRecv { round, p } => {
-                    let resp_tag = 10 + round as u32 * 2 + 1;
-                    let Some(msg) = ctx.try_recv(p, resp_tag) else {
-                        return TaskStep::Recv {
-                            from: p,
-                            tag: resp_tag,
-                        };
-                    };
-                    let (_, rows) = decode_rows(msg.payload);
-                    for (v, row) in rows {
-                        self.responses.insert(v, row);
-                    }
-                    self.state = MiniState::RespRecv { round, p: p + 1 };
-                }
-                MiniState::Finish => {
-                    let slots = self.slots.take().expect("rounds complete");
-                    let upper_work = (self.sync.num_slots
-                        + self.shard.hdg.num_instances()
-                        + self.shard.hdg.num_roots()) as u64
+                },
+                State::Finish => {
+                    let slots = self.slots.take().expect("leaf level complete");
+                    let out = finish_upper_levels(shard, sync, slots, cfg);
+                    let work = (sync.num_slots + shard.hdg.num_instances() + shard.hdg.num_roots())
+                        as u64
                         * d as u64;
-                    // Upper levels with sparse ops (the baseline has no
-                    // hybrid executor) — same as the threaded worker.
-                    let out = finish_upper_levels(
-                        self.shard,
-                        self.sync,
-                        slots,
-                        self.cfg.leaf_op,
-                        &self.cfg.plan,
-                        flexgraph_engine::hybrid::Strategy::Sa,
-                    );
-                    let ns = ctx.charge(upper_work);
-                    record_stage(&mut self.rec, Stage::Upper, upper_work, ns);
-                    let out = match &self.cfg.update_weight {
+                    let ns = ctx.charge(work);
+                    self.record(Stage::Upper, work, ns);
+                    let out = match &cfg.update_weight {
                         Some(w) => {
                             let work = out.rows() as u64 * out.cols() as u64 * w.cols() as u64;
                             let mut o = out.matmul(w);
                             o.relu_inplace();
                             let ns = ctx.charge(work);
-                            record_stage(&mut self.rec, Stage::Update, work, ns);
+                            self.record(Stage::Update, work, ns);
                             o
                         }
                         None => out,
                     };
-                    attribute_root_costs_scaled(
-                        self.shard,
-                        self.sync,
-                        ctx.compute_factor(),
-                        &mut self.rec,
-                    );
+                    self.attribute_root_costs(ctx.compute_factor());
                     self.out = Some(Ok(out));
-                    return TaskStep::Done;
+                    return Ok(TaskStep::Done);
                 }
             }
         }
+    }
+
+    /// Attributes `5 + (leaf_entries + instances + types) × dim` cost
+    /// units per root, scaled by `factor`, keyed by global vertex id.
+    /// `leaf_entries` is the root's slot-count segment (the ScatterPlan
+    /// fold sizes), mirroring the shape of the balancer's polynomial
+    /// metric variables (§6).
+    fn attribute_root_costs(&mut self, factor: f64) {
+        let (shard, sync) = (self.shard, self.sync);
+        let d = shard.feats.cols() as u64;
+        let t = shard.hdg.num_types() as u64;
+        for r in 0..shard.hdg.num_roots() {
+            let slots = sync.root_slot_off[r]..sync.root_slot_off[r + 1];
+            let leaf_entries: u64 = sync.slot_counts[slots].iter().map(|&c| c as u64).sum();
+            let instances = shard.hdg.instances_of_root(r) as u64;
+            let units = 5 + (leaf_entries + instances + t) * d;
+            self.rec
+                .add_root_cost(shard.roots[r], (units as f64 * factor) as u64);
+        }
+    }
+}
+
+impl SimTask for EpochTask<'_> {
+    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskStep {
+        // A latched peer failure aborts the attempt wherever the task
+        // waited.
+        if let Some(e) = ctx.failed() {
+            self.out.get_or_insert(Err(e));
+            return TaskStep::Done;
+        }
+        self.advance(ctx).unwrap_or_else(|e| {
+            self.out = Some(Err(e));
+            TaskStep::Done
+        })
     }
 }
 
@@ -904,8 +544,8 @@ mod tests {
     use super::*;
     use crate::shard::make_shards;
     use crate::trainer::distributed_epoch;
-    use flexgraph_comm::{CostModel, CrashPoint, FlakyRack, Straggler};
-    use flexgraph_engine::hybrid::{AggrOp, AggrPlan};
+    use flexgraph_comm::{ChaosSchedule, CostModel, CrashPoint, FlakyRack, Straggler};
+    use flexgraph_engine::hybrid::AggrPlan;
     use flexgraph_graph::gen::community;
     use flexgraph_graph::partition::hash_partition;
     use flexgraph_hdg::build::from_direct_neighbors;
@@ -921,6 +561,17 @@ mod tests {
             s.graph = Some(g.clone());
         }
         (ds.graph, ds.features, shards)
+    }
+
+    /// The virtual runtime on a uniform network priced like `cfg`'s
+    /// cost model.
+    fn simulated(graph: &Graph, shards: &[Shard], cfg: &DistConfig) -> VirtualEpochReport {
+        virtual_epoch(
+            graph,
+            shards,
+            cfg,
+            &NetProfile::from_cost_model(&cfg.cost_model),
+        )
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -945,7 +596,7 @@ mod tests {
                 mode,
                 ..DistConfig::default()
             };
-            let sim = simulated_epoch(&graph, &shards, &cfg);
+            let sim = simulated(&graph, &shards, &cfg).report;
             let real = distributed_epoch(&graph, &shards, &cfg);
             assert!(
                 sim.features.max_abs_diff(&real.features) < 1e-4,
@@ -973,7 +624,7 @@ mod tests {
             update_weight: Some(Tensor::eye(6).scale(0.5)),
             ..DistConfig::default()
         };
-        let sim = simulated_epoch(&graph, &shards, &cfg);
+        let sim = simulated(&graph, &shards, &cfg).report;
         let real = distributed_epoch(&graph, &shards, &cfg);
         assert!(sim.features.max_abs_diff(&real.features) < 1e-4);
         assert_eq!(bits(&sim.features), bits(&real.features));
@@ -997,8 +648,8 @@ mod tests {
             cost_model: model,
             ..DistConfig::default()
         };
-        let tp = simulated_epoch(&graph, &shards, &piped).epoch;
-        let tr = simulated_epoch(&graph, &shards, &raw).epoch;
+        let tp = simulated(&graph, &shards, &piped).virtual_time;
+        let tr = simulated(&graph, &shards, &raw).virtual_time;
         assert!(
             tp <= tr + Duration::from_micros(200),
             "pipelined {tp:?} must not exceed unpipelined {tr:?}"
@@ -1009,7 +660,7 @@ mod tests {
     fn single_worker_has_no_comm() {
         let (graph, _f, shards) = setup(1);
         let cfg = DistConfig::default();
-        let sim = simulated_epoch(&graph, &shards, &cfg);
+        let sim = simulated(&graph, &shards, &cfg).report;
         assert_eq!(sim.comm_bytes, 0);
         assert_eq!(sim.comm_messages, 0);
     }
@@ -1028,8 +679,8 @@ mod tests {
             },
             ..DistConfig::default()
         };
-        let be = simulated_epoch(&graph, &shards, &euler).comm_bytes;
-        let bd = simulated_epoch(&graph, &shards, &distd).comm_bytes;
+        let be = simulated(&graph, &shards, &euler).report.comm_bytes;
+        let bd = simulated(&graph, &shards, &distd).report.comm_bytes;
         assert!(bd > be, "closure fetch {bd} must exceed dep fetch {be}");
     }
 

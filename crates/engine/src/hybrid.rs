@@ -113,10 +113,7 @@ pub fn hierarchical_aggregate(
     let d = feats.cols();
     let mut peak = 0usize;
 
-    // Step 1: leaves → instances. Telemetry counts this level's work as
-    // leaf entries × dim; the upper levels account for themselves.
-    let timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Upper);
-    let leaf_work = hdg.leaf_sources().len() as u64 * d as u64;
+    // Step 1: leaves → instances.
     let inst_feats = match strategy {
         Strategy::Sa => {
             // Materialize one row per (leaf, instance) edge, then scatter
@@ -143,7 +140,6 @@ pub fn hierarchical_aggregate(
             segment_reduce(feats, hdg.inst_offsets(), hdg.leaf_sources(), reduce)
         }
     };
-    timer.stop(leaf_work);
 
     let upper = aggregate_from_instances(hdg, &inst_feats, plan, strategy, budget)?;
     Ok(AggrResult {
@@ -200,8 +196,6 @@ pub fn hierarchical_aggregate_quant(
     let d = feats.cols();
     let mut peak = 0usize;
 
-    let timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Upper);
-    let leaf_work = hdg.leaf_sources().len() as u64 * d as u64;
     let inst_feats = match strategy {
         Strategy::Sa => {
             // Materialize the per-edge rows (widened to f32), then
@@ -241,7 +235,6 @@ pub fn hierarchical_aggregate_quant(
             }
         }
     };
-    timer.stop(leaf_work);
 
     let upper = aggregate_from_instances(hdg, &inst_feats, plan, strategy, budget)?;
     Ok(AggrResult {
@@ -268,7 +261,6 @@ pub fn aggregate_from_instances(
     // (§4.2(2)). The group index the compact storage omits lives inside
     // the HDG's cached scatter plan, materialized once for all layers
     // and epochs rather than per pass.
-    let timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Upper);
     let group_feats = apply_scatter(
         plan.instance_op,
         inst_feats,
@@ -276,7 +268,6 @@ pub fn aggregate_from_instances(
         &mut peak,
         budget,
     )?;
-    timer.stop(hdg.num_instances() as u64 * inst_feats.cols() as u64);
 
     let upper = aggregate_from_groups(hdg, group_feats, plan, strategy, budget)?;
     Ok(AggrResult {
@@ -298,8 +289,6 @@ pub fn aggregate_from_groups(
 ) -> Result<AggrResult, EngineError> {
     let mut peak = 0usize;
     // Types → root.
-    let timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Upper);
-    let group_work = hdg.num_groups() as u64 * group_feats.cols() as u64;
     let t = hdg.num_types();
     let features = if t == 1 {
         // Flat schema tree: groups ARE the roots (GCN / PinSage shape).
@@ -323,7 +312,6 @@ pub fn aggregate_from_groups(
             )?,
         }
     };
-    timer.stop(group_work);
 
     Ok(AggrResult {
         features,
@@ -341,9 +329,7 @@ pub fn direct_aggregate(
     fused: bool,
     budget: &MemoryBudget,
 ) -> Result<AggrResult, EngineError> {
-    let timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Upper);
-    let work = graph.in_sources().len() as u64 * feats.cols() as u64;
-    let result = if fused {
+    if fused {
         let reduce = op
             .as_reduce()
             .ok_or(EngineError::Unsupported("attention in direct aggregation"))?;
@@ -363,11 +349,7 @@ pub fn direct_aggregate(
             features,
             peak_transient_bytes: peak,
         })
-    };
-    if result.is_ok() {
-        timer.stop(work);
     }
-    result
 }
 
 fn apply_scatter(

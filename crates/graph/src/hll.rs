@@ -18,19 +18,7 @@
 //! the linear-counting regime, where the estimate is near-exact.
 
 use crate::csr::Graph;
-use crate::VertexId;
-
-/// SplitMix64 finalizer: the same bit-mixer the HDG builder uses for
-/// deterministic sampling. Full-avalanche, so the low `p` bits (register
-/// index) and the remaining bits (rank pattern) are independent enough
-/// for HLL's independence assumptions.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use crate::{splitmix64, VertexId};
 
 /// A HyperLogLog distinct-count sketch with `m = 2^p` one-byte
 /// registers.
@@ -84,7 +72,9 @@ impl HyperLogLog {
     /// Inserts a raw 64-bit item (hashed internally).
     #[inline]
     pub fn insert_u64(&mut self, item: u64) {
-        let h = mix64(item);
+        // Full-avalanche, so the low `p` bits (register index) and the
+        // remaining bits (rank pattern) are independent enough for HLL.
+        let h = splitmix64(item);
         let idx = (h >> (64 - self.p)) as usize;
         // Rank = position of the leftmost 1 in the remaining 64-p bits;
         // an all-zero remainder gets the saturating rank 64-p+1.

@@ -37,3 +37,14 @@ pub use csr::{Graph, GraphBuilder, VertexId};
 pub use hetero::TypedGraph;
 pub use hll::{HyperLogLog, ReachSketches};
 pub use partition::Partitioning;
+
+/// SplitMix64 finalizer: a full-avalanche 64-bit mixer, the one hash
+/// behind deterministic sampling (`hdg::build`), HyperLogLog registers
+/// ([`hll`]) and replica placement (`serve::shard`).
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}

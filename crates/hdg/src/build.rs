@@ -13,7 +13,7 @@ use crate::storage::Hdg;
 use flexgraph_graph::bfs::hop_shells;
 use flexgraph_graph::metapath::{find_instances, Metapath};
 use flexgraph_graph::walk::{importance_neighbors_all, WalkConfig};
-use flexgraph_graph::{Graph, TypedGraph, VertexId};
+use flexgraph_graph::{splitmix64, Graph, TypedGraph, VertexId};
 
 /// One "neighbor" of one root, as produced by a NeighborSelection UDF.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -220,14 +220,6 @@ pub fn from_hop_shells(g: &Graph, roots: Vec<VertexId>, k: usize) -> Hdg {
     from_hop_shells_capped(g, roots, k, 0, 0)
 }
 
-/// SplitMix64 finalizer — the pure hash behind sampled selection.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Hop-shell HDGs with a per-shell sampling cap — the NeighborSelection
 /// of the online serving path, where unbounded power-law shells would
 /// blow the per-request memory budget. `cap = 0` means uncapped.
@@ -292,7 +284,12 @@ pub fn hop_shell_records(
 /// the out-of-core ↔ in-RAM bitwise-parity guarantee rests on.
 pub fn cap_shell(shell: &mut Vec<VertexId>, root: VertexId, cap: usize, seed: u64) {
     if cap > 0 && shell.len() > cap {
-        shell.sort_unstable_by_key(|&u| (mix64(seed ^ mix64((root as u64) << 32 | u as u64)), u));
+        shell.sort_unstable_by_key(|&u| {
+            (
+                splitmix64(seed ^ splitmix64((root as u64) << 32 | u as u64)),
+                u,
+            )
+        });
         shell.truncate(cap);
         shell.sort_unstable();
     }

@@ -7,15 +7,11 @@
 //!
 //! # Design
 //!
-//! * **Thread-local probes.** Instrumented code (`engine`, `dist`,
-//!   `models`) calls [`record_stage`] / [`record_send`] /
-//!   [`record_root_cost`] unconditionally. Those are near-free no-ops
-//!   unless the current thread has a probe installed via
-//!   [`probe_begin`] — which `dist::trainer` does for each worker
-//!   thread of an epoch, harvesting the [`PartitionRecord`] with
-//!   [`probe_end`]. No function signatures change and the disabled-path
-//!   cost is one thread-local `Option` check (<1% on the dense/scatter
-//!   baselines, see DESIGN.md §8).
+//! * **Task-owned records.** Each distributed worker task writes its
+//!   own [`PartitionRecord`] — stage samples, comm counters, per-root
+//!   costs — as it runs, and the epoch runtime merges them into a
+//!   [`TraceEpoch`]. Nothing is recorded behind the caller's back, so
+//!   code outside a distributed epoch pays nothing for telemetry.
 //! * **Deterministic traces.** `FLEXGRAPH_TRACE=path` opens a trace
 //!   session. Trace records carry *virtual* timestamps (a record
 //!   counter) and only deterministic fields — work units, invocation
@@ -36,114 +32,10 @@ pub use record::{
 };
 pub use trace::{parse_line, TraceLine, TRACE_VERSION};
 
-use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
-use std::time::Instant;
-
-// ---------------------------------------------------------------------------
-// Thread-local probe
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static PROBE: RefCell<Option<PartitionRecord>> = const { RefCell::new(None) };
-}
-
-/// Installs a fresh probe on the current thread. Subsequent
-/// [`record_stage`]-family calls from this thread accumulate into it
-/// until [`probe_end`]. Replaces (and discards) any previous probe.
-pub fn probe_begin(epoch: u64, partition: u32) {
-    PROBE.with(|p| *p.borrow_mut() = Some(PartitionRecord::new(epoch, partition)));
-}
-
-/// Removes and returns the current thread's probe, if any.
-pub fn probe_end() -> Option<PartitionRecord> {
-    PROBE.with(|p| p.borrow_mut().take())
-}
-
-/// Whether a probe is installed on this thread.
-pub fn probe_active() -> bool {
-    PROBE.with(|p| p.borrow().is_some())
-}
-
-/// Adds one invocation of `stage` with `work` deterministic work units
-/// and `wall_ns` measured nanoseconds. No-op without a probe.
-pub fn record_stage(stage: Stage, work: u64, wall_ns: u64) {
-    PROBE.with(|p| {
-        if let Some(rec) = p.borrow_mut().as_mut() {
-            let s = rec.stage_mut(stage);
-            s.invocations += 1;
-            s.work += work;
-            s.wall_ns += wall_ns;
-        }
-    });
-}
-
-/// Accounts one sent message of `bytes` payload bytes; `partial` marks
-/// sender-side partial aggregates (vs raw feature rows). No-op without
-/// a probe.
-pub fn record_send(bytes: u64, partial: bool) {
-    PROBE.with(|p| {
-        if let Some(rec) = p.borrow_mut().as_mut() {
-            rec.comm.messages += 1;
-            rec.comm.bytes += bytes;
-            if partial {
-                rec.comm.partial_msgs += 1;
-            } else {
-                rec.comm.raw_msgs += 1;
-            }
-        }
-    });
-}
-
-/// Attributes `units` deterministic cost units to global root vertex
-/// `v`. No-op without a probe.
-pub fn record_root_cost(v: u32, units: u64) {
-    PROBE.with(|p| {
-        if let Some(rec) = p.borrow_mut().as_mut() {
-            rec.add_root_cost(v, units);
-        }
-    });
-}
-
-/// Marks the current epoch's leaf level as pipelined. No-op without a
-/// probe.
-pub fn set_pipelined(on: bool) {
-    PROBE.with(|p| {
-        if let Some(rec) = p.borrow_mut().as_mut() {
-            rec.pipelined |= on;
-        }
-    });
-}
-
-/// Scoped stage timer. [`StageTimer::start`] reads the clock only when
-/// a probe is installed, so the disabled path costs a thread-local
-/// check and nothing else.
-pub struct StageTimer {
-    stage: Stage,
-    started: Option<Instant>,
-}
-
-impl StageTimer {
-    /// Starts timing `stage` (if this thread has a probe).
-    pub fn start(stage: Stage) -> StageTimer {
-        let started = if probe_active() {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        StageTimer { stage, started }
-    }
-
-    /// Stops the timer and records one invocation with `work` units.
-    pub fn stop(self, work: u64) {
-        if let Some(t0) = self.started {
-            record_stage(self.stage, work, t0.elapsed().as_nanos() as u64);
-        }
-    }
-}
+use std::sync::{Mutex, Once};
 
 // ---------------------------------------------------------------------------
 // Trace session
@@ -318,67 +210,9 @@ pub fn reset_epochs() {
     EPOCH_SEQ.store(0, Ordering::Release);
 }
 
-static OVERHEAD_CHECK: OnceLock<()> = OnceLock::new();
-
-/// One-time marker used by benches to assert the disabled path stays
-/// branch-only; returns true exactly once per process.
-pub fn overhead_marker() -> bool {
-    OVERHEAD_CHECK.set(()).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn probe_lifecycle() {
-        assert!(!probe_active());
-        assert!(probe_end().is_none());
-        // Disabled-path calls are no-ops.
-        record_stage(Stage::Upper, 10, 10);
-        record_send(64, true);
-        record_root_cost(1, 5);
-        set_pipelined(true);
-        assert!(probe_end().is_none());
-
-        probe_begin(4, 2);
-        assert!(probe_active());
-        record_stage(Stage::Upper, 10, 100);
-        record_stage(Stage::Upper, 5, 50);
-        record_send(64, true);
-        record_send(32, false);
-        record_root_cost(9, 7);
-        set_pipelined(true);
-        let rec = probe_end().expect("probe installed");
-        assert!(!probe_active());
-        assert_eq!((rec.epoch, rec.partition), (4, 2));
-        assert!(rec.pipelined);
-        assert_eq!(rec.stage(Stage::Upper).invocations, 2);
-        assert_eq!(rec.stage(Stage::Upper).work, 15);
-        assert_eq!(rec.stage(Stage::Upper).wall_ns, 150);
-        assert_eq!(rec.comm.messages, 2);
-        assert_eq!(rec.comm.bytes, 96);
-        assert_eq!(rec.comm.partial_msgs, 1);
-        assert_eq!(rec.roots[&9], 7);
-    }
-
-    #[test]
-    fn stage_timer_inactive_skips_clock() {
-        let t = StageTimer::start(Stage::Update);
-        assert!(t.started.is_none());
-        t.stop(100); // must not panic or record anywhere
-    }
-
-    #[test]
-    fn stage_timer_records_when_active() {
-        probe_begin(0, 0);
-        let t = StageTimer::start(Stage::Update);
-        assert!(t.started.is_some());
-        t.stop(42);
-        let rec = probe_end().unwrap();
-        assert_eq!(rec.stage(Stage::Update).invocations, 1);
-        assert_eq!(rec.stage(Stage::Update).work, 42);
-    }
 
     #[test]
     fn trace_session_writes_parseable_lines() {
@@ -390,7 +224,6 @@ mod tests {
 
         let mut ep = TraceEpoch::new(0);
         let mut rec = PartitionRecord::new(0, 0);
-        record_stage(Stage::Upper, 1, 1); // no probe on this thread: ignored
         rec.stage_mut(Stage::Upper).invocations = 1;
         rec.stage_mut(Stage::Upper).work = 77;
         ep.absorb(rec);

@@ -381,7 +381,7 @@ pub struct PartitionRecord {
     pub comm: CommCounters,
     /// Per-root cost attribution: global vertex id → deterministic cost
     /// units, derived from the executed aggregation plan's segment
-    /// sizes (see `dist::trainer`).
+    /// sizes (see `dist::sim`).
     pub roots: BTreeMap<u32, u64>,
 }
 

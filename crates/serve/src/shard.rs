@@ -20,15 +20,8 @@
 //! replica computes the identical map and request routing stays
 //! deterministic across runs and thread counts.
 
+use flexgraph_graph::splitmix64;
 use std::collections::BTreeMap;
-
-/// SplitMix64 — the same mixer the sampling and chaos layers use.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// A deterministic fixed-slot consistent-hash map from keys to replica
 /// ids.

@@ -1,8 +1,8 @@
 //! Robustness and edge-case integration tests: fault injection, dynamic
 //! graphs, degenerate topologies, and budget boundaries.
 
-use flexgraph::comm::{ChaosSchedule, CostModel};
-use flexgraph::dist::{distributed_epoch, make_shards, simulated_epoch, DistConfig, DistMode};
+use flexgraph::comm::{ChaosSchedule, CostModel, NetProfile};
+use flexgraph::dist::{distributed_epoch, make_shards, virtual_epoch, DistConfig, DistMode};
 use flexgraph::engine::hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, Strategy};
 use flexgraph::engine::MemoryBudget;
 use flexgraph::graph::csr::graph_from_edges;
@@ -158,10 +158,31 @@ fn simulation_and_threaded_runtime_agree_on_every_mode() {
             ..DistConfig::default()
         };
         let a = distributed_epoch(&ds.graph, &shards, &cfg);
-        let b = simulated_epoch(&ds.graph, &shards, &cfg);
+        let net = NetProfile::from_cost_model(&cfg.cost_model);
+        let b = virtual_epoch(&ds.graph, &shards, &cfg, &net).report;
         assert!(
             a.features.max_abs_diff(&b.features) < 1e-4,
             "{mode:?}: threaded and simulated runtimes must agree"
+        );
+        // Both runtimes step the same tasks, so every partition records
+        // the same stage invocations and work units and the same comm
+        // counters; only the times differ.
+        let counters = |t: &TraceEpoch| {
+            t.partitions
+                .iter()
+                .map(|(&rank, rec)| {
+                    let stages: Vec<(u64, u64)> = Stage::ALL
+                        .iter()
+                        .map(|&s| (rec.stage(s).invocations, rec.stage(s).work))
+                        .collect();
+                    (rank, stages, rec.comm)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            counters(&a.telemetry),
+            counters(&b.telemetry),
+            "{mode:?}: runtimes must record the same telemetry"
         );
     }
 }
