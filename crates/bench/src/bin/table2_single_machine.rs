@@ -6,7 +6,9 @@
 //!
 //! `FLEXGRAPH_BENCH_STRICT=1` additionally asserts the wall-time claim
 //! behind fusion: FlexGraph's GCN epoch beats the PyTorch-like
-//! (materializing) one on every dataset. It is a release-mode gate; a
+//! (materializing) one on every dataset. A FlexGraph GCN cell that is
+//! not a time fails the gate; a PyTorch-like cell may only be OOM, and
+//! that dataset is reported as skipped. It is a release-mode gate; a
 //! debug build refuses it, since unoptimized timings say nothing.
 
 use flexgraph_bench::workloads::{run_epoch, ModelKind, System};
@@ -19,7 +21,8 @@ fn main() {
         "the strict wall-time gate needs a release build"
     );
     let datasets = all_datasets();
-    let mut slower = Vec::new();
+    let mut failed = Vec::new();
+    let mut skipped = Vec::new();
     println!("Table 2: runtime in seconds for 1 epoch on a single machine\n");
     println!(
         "{:<8} {:<13} {:>9} {:>9} {:>9} {:>9} {:>9}",
@@ -45,11 +48,16 @@ fn main() {
             }
             println!();
             // `System::all()` runs PyTorch-like first, FlexGraph last.
-            if let (ModelKind::Gcn, Some(Cell::Time(pyt)), Some(Cell::Time(flex))) =
-                (model, cells.first(), cells.last())
-            {
-                if flex >= pyt {
-                    slower.push(format!("{}: {flex:?} vs {pyt:?}", ds.name));
+            if model == ModelKind::Gcn {
+                match (&cells[0], &cells[cells.len() - 1]) {
+                    (Cell::Time(pyt), Cell::Time(flex)) if flex < pyt => {}
+                    (Cell::Oom, Cell::Time(_)) => skipped.push(ds.name.clone()),
+                    (pyt, flex) => failed.push(format!(
+                        "{}: {} vs {}",
+                        ds.name,
+                        flex.to_string().trim(),
+                        pyt.to_string().trim()
+                    )),
                 }
             }
         }
@@ -61,9 +69,12 @@ fn main() {
     );
     if strict {
         assert!(
-            slower.is_empty(),
-            "fused GCN must beat materialized GCN: {slower:?}"
+            failed.is_empty(),
+            "fused GCN must beat materialized GCN: {failed:?}"
         );
-        println!("strict gate: FlexGraph GCN faster than PyTorch-like on every dataset");
+        println!(
+            "strict gate: FlexGraph GCN faster than PyTorch-like on every dataset \
+             (PyTorch-like OOM, skipped: {skipped:?})"
+        );
     }
 }

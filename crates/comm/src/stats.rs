@@ -60,6 +60,9 @@ impl CostModel {
 /// they are pure functions of the seed. Retransmissions after that
 /// survivor happen only because an ack was slow; they count as
 /// `timeout_copies`, which depends on wall time and is report-only.
+/// `redeliveries` counts the receivers' discards of chaos duplicates.
+/// A duplicate is ingested together with its original, so once every
+/// original has been received the count equals `dups_injected`.
 #[derive(Default, Debug)]
 pub struct CommStats {
     messages: AtomicU64,
@@ -69,6 +72,7 @@ pub struct CommStats {
     retries: AtomicU64,
     drops_injected: AtomicU64,
     dups_injected: AtomicU64,
+    redeliveries: AtomicU64,
     timeout_copies: AtomicU64,
     acks: AtomicU64,
     control_messages: AtomicU64,
@@ -102,6 +106,11 @@ impl CommStats {
     /// Records one chaos-injected duplicate transmission.
     pub fn record_dup_injected(&self) {
         self.dups_injected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one receive-side discard of a chaos duplicate.
+    pub fn record_redelivery(&self) {
+        self.redeliveries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one retransmission of a message an earlier transmission
@@ -146,12 +155,10 @@ impl CommStats {
         self.dups_injected.load(Ordering::Relaxed)
     }
 
-    /// Total receive-side duplicate discards, timeout copies aside.
-    /// Every chaos duplicate is one: it leaves right behind its original,
-    /// so the receiver always discards the copy. It is counted when sent,
-    /// whether or not the receiver still reads its queue.
+    /// Total receive-side discards of chaos duplicates (timeout copies
+    /// aside).
     pub fn redeliveries(&self) -> u64 {
-        self.dups_injected()
+        self.redeliveries.load(Ordering::Relaxed)
     }
 
     /// Total retransmissions caused by slow acks (wall-time dependent).
@@ -193,6 +200,7 @@ impl CommStats {
         self.retries.store(0, Ordering::Relaxed);
         self.drops_injected.store(0, Ordering::Relaxed);
         self.dups_injected.store(0, Ordering::Relaxed);
+        self.redeliveries.store(0, Ordering::Relaxed);
         self.timeout_copies.store(0, Ordering::Relaxed);
         self.acks.store(0, Ordering::Relaxed);
         self.control_messages.store(0, Ordering::Relaxed);
@@ -213,7 +221,7 @@ pub struct StatsSnapshot {
     pub drops_injected: u64,
     /// Chaos-injected duplicates.
     pub dups_injected: u64,
-    /// Receive-side duplicate discards.
+    /// Receive-side discards of chaos duplicates.
     pub redeliveries: u64,
     /// Retransmissions caused by slow acks (wall-time dependent).
     pub timeout_copies: u64,
@@ -279,6 +287,7 @@ mod tests {
         s.record_retry();
         s.record_drop_injected();
         s.record_dup_injected();
+        s.record_redelivery();
         s.record_ack();
         s.record_control();
         assert_eq!(s.messages(), 1, "fault-path events are not messages");

@@ -239,19 +239,21 @@ pub(crate) fn encode_raw_rows(
 
 /// Folds a vertex-keyed raw message from `from` into the slot buffer,
 /// resolving slots through the per-owner remote-edge list with a dense
-/// vertex → payload-offset table.
+/// vertex → payload-offset table. `offset_of` is that table, reused
+/// across calls: all `u32::MAX` on entry, and left so on return.
 pub(crate) fn fold_raw_rows(
     sync: &LeafSync,
     slots: &mut Tensor,
     payload: &bytes::Bytes,
     from: usize,
     d: usize,
-    num_vertices: usize,
+    offset_of: &mut [u32],
 ) {
-    let mut offset_of = vec![u32::MAX; num_vertices];
+    let mut ids: Vec<u32> = Vec::new();
     let mut flat: Vec<f32> = Vec::new();
     let dim = decode_rows_with(payload, |v, row| {
         offset_of[v as usize] = flat.len() as u32;
+        ids.push(v);
         flat.extend_from_slice(row);
     });
     debug_assert_eq!(dim, d);
@@ -262,6 +264,9 @@ pub(crate) fn fold_raw_rows(
         for (o, &x) in dst.iter_mut().zip(&flat[off as usize..off as usize + d]) {
             *o += x;
         }
+    }
+    for v in ids {
+        offset_of[v as usize] = u32::MAX;
     }
 }
 

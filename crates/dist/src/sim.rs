@@ -51,6 +51,14 @@ fn request_tag(round: usize) -> u32 {
     10 + round as u32 * 2
 }
 
+/// The raw-row fold's offset table, allocated on first use.
+fn scratch(table: &mut Vec<u32>, num_vertices: usize) -> &mut [u32] {
+    if table.is_empty() {
+        *table = vec![u32::MAX; num_vertices];
+    }
+    table
+}
+
 /// Result of one [`virtual_epoch`]: the epoch report plus the
 /// virtual-runtime extras (event log, digests, virtual clocks).
 pub struct VirtualEpochReport {
@@ -172,6 +180,9 @@ pub struct EpochTask<'a> {
     slots: Option<Tensor>,
     /// Unpipelined: raw-row payloads held until the last one arrives.
     held: Vec<(usize, Bytes)>,
+    /// Vertex → payload-offset scratch for raw-row folds; allocated on
+    /// the first one.
+    offset_of: Vec<u32>,
     /// Mini-batch: rounds every worker runs, and this round's fetched
     /// rows by vertex.
     rounds: usize,
@@ -201,6 +212,7 @@ impl<'a> EpochTask<'a> {
             peer: 0,
             slots: None,
             held: Vec::new(),
+            offset_of: Vec::new(),
             rounds: 0,
             responses: HashMap::new(),
             stage_acc: (0, 0),
@@ -335,7 +347,8 @@ impl<'a> EpochTask<'a> {
                             });
                             rows
                         } else {
-                            fold_raw_rows(sync, slots, &payload, p, d, shard.owner.len());
+                            let offset_of = scratch(&mut self.offset_of, shard.owner.len());
+                            fold_raw_rows(sync, slots, &payload, p, d, offset_of);
                             sync.remote_edges_by_owner[p].len() as u64
                         };
                         self.stage_acc.0 += entries * d as u64;
@@ -348,8 +361,9 @@ impl<'a> EpochTask<'a> {
                             // every remote row has arrived.
                             self.fold_local(ctx);
                             let slots = self.slots.as_mut().expect("local fold done");
+                            let offset_of = scratch(&mut self.offset_of, shard.owner.len());
                             for (p, payload) in self.held.drain(..) {
-                                fold_raw_rows(sync, slots, &payload, p, d, shard.owner.len());
+                                fold_raw_rows(sync, slots, &payload, p, d, offset_of);
                             }
                             let work = sync.remote_edges.len() as u64 * d as u64;
                             self.stage_acc = (work, ctx.charge(work));
