@@ -12,9 +12,8 @@
 //!
 //! Liveness is guaranteed by construction: drop decisions only apply to a
 //! packet's first two transmissions (`attempt <= 1`); from the third
-//! attempt on, the packet always goes through, so the reliable-delivery
-//! layer in [`crate::fabric`] converges after a bounded number of
-//! retries.
+//! attempt on, the packet always goes through, so the chaos walk both
+//! transports take (`fate`) ends after a bounded number of retries.
 
 /// Where a simulated worker process dies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -34,10 +34,12 @@
 use crate::chaos::{splitmix64, ChaosSchedule};
 use crate::clock;
 use crate::fabric::{CommError, RetryPolicy};
+use crate::fate::{crash_on_send, fate, DedupWindow};
+use crate::stats::VirtualStats;
 use crate::task::{SimTask, TaskCtx, TaskStep};
 use bytes::Bytes;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt::Write as _;
 
 /// Virtual time, in nanoseconds since cluster start.
@@ -328,42 +330,6 @@ enum NetEvent {
     Failure { dst: usize, culprit: usize },
 }
 
-/// Deterministic traffic counters of one virtual cluster (the virtual
-/// analogue of [`crate::CommStats`], without atomics — the scheduler is
-/// single-threaded by construction). Schedulers of the same tasks on
-/// threads report the fabric's counters in this shape too.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VirtualStats {
-    /// Application messages sent (logical sends; retransmits and
-    /// duplicates never inflate this).
-    pub messages: u64,
-    /// Application payload bytes sent.
-    pub bytes: u64,
-    /// Modeled wire nanoseconds summed over messages.
-    pub modeled_ns: u64,
-    /// Retransmissions (collapsed into delivery-time delays).
-    pub retries: u64,
-    /// Injected drops (chaos schedule + flaky racks).
-    pub drops_injected: u64,
-    /// Injected duplicate transmissions.
-    pub dups_injected: u64,
-    /// Receive-side duplicate discards.
-    pub redeliveries: u64,
-}
-
-impl std::ops::AddAssign for VirtualStats {
-    /// Field-wise sum (accumulating counters across attempts).
-    fn add_assign(&mut self, o: Self) {
-        self.messages += o.messages;
-        self.bytes += o.bytes;
-        self.modeled_ns += o.modeled_ns;
-        self.retries += o.retries;
-        self.drops_injected += o.drops_injected;
-        self.dups_injected += o.dups_injected;
-        self.redeliveries += o.redeliveries;
-    }
-}
-
 /// The virtual cluster: scheduler, fabric, chaos, and event log in one.
 ///
 /// Construct with [`VirtualCluster::new`], then [`VirtualCluster::run`]
@@ -385,9 +351,9 @@ pub struct VirtualCluster {
     runq: VecDeque<usize>,
     /// Next per-link sequence number, indexed `[src][dst]`.
     next_seq: Vec<Vec<u64>>,
-    /// Receive-side dedup sets, allocated only when the chaos schedule
-    /// can actually duplicate.
-    dedup: Option<Vec<HashSet<(usize, u64)>>>,
+    /// Receive-side dedup windows, allocated only when the chaos
+    /// schedule can actually duplicate.
+    dedup: Option<Vec<DedupWindow>>,
     /// Latched failure per task (peer crash detection).
     failed: Vec<Option<CommError>>,
     data_sends: Vec<u64>,
@@ -416,7 +382,7 @@ impl VirtualCluster {
     /// A cluster of `k` workers at virtual time zero.
     pub fn new(k: usize, cfg: SimConfig) -> Self {
         assert!(k >= 1, "need at least one worker");
-        let dedup = (!cfg.chaos.is_noop()).then(|| (0..k).map(|_| HashSet::new()).collect());
+        let dedup = (!cfg.chaos.is_noop()).then(|| (0..k).map(|_| DedupWindow::new(k)).collect());
         let compute_mult = (0..k).map(|r| cfg.net.compute_factor(r)).collect();
         Self {
             k,
@@ -565,7 +531,7 @@ impl VirtualCluster {
         match ev {
             NetEvent::Deliver { dst, msg } => {
                 if let Some(dedup) = &mut self.dedup {
-                    if !dedup[dst].insert((msg.from, msg.seq)) {
+                    if !dedup[dst].first_arrival(msg.from, msg.seq) {
                         self.stats.redeliveries += 1;
                         let _ = writeln!(self.log, "X {vt} {} {dst} {}", msg.from, msg.seq);
                         return;
@@ -609,36 +575,25 @@ impl VirtualCluster {
         }
     }
 
-    /// Collapses the reliable-transport retry loop into a single
-    /// delivery time: walks the pure chaos/flaky verdicts attempt by
-    /// attempt, accumulating the backoffs the threaded fabric would
-    /// have slept, until a transmission survives.
+    /// Schedules one message on the wheel: its drops and
+    /// retransmissions come from [`fate`] as one delivery time.
     fn send_from(&mut self, src: usize, to: usize, tag: u32, payload: Bytes) {
         self.next_seq[src][to] += 1;
         let seq = self.next_seq[src][to];
         let bytes = payload.len();
         let t0 = self.local_vt[src];
-        let chaos = self.cfg.chaos;
-        let retry = self.cfg.retry;
         let wire = self.cfg.net.wire_ns(src, to, bytes);
-
-        let mut attempt = 0u32;
-        let mut xmit_at = t0;
-        let decision = loop {
-            let d = chaos.decide(src, to, seq, attempt);
-            let flaky = self.cfg.net.flaky_drop(src, to, seq, attempt);
-            if !(d.drop || flaky) {
-                break d;
-            }
-            self.stats.drops_injected += 1;
-            self.stats.retries += 1;
-            xmit_at += if attempt == 0 {
-                retry.base_timeout.as_nanos() as u64
-            } else {
-                clock::backoff_for(retry, attempt).as_nanos() as u64
-            };
-            attempt += 1;
-        };
+        let net = &self.cfg.net;
+        let decision = fate(
+            &self.cfg.chaos,
+            &self.cfg.retry,
+            |attempt| net.flaky_drop(src, to, seq, attempt),
+            src,
+            to,
+            seq,
+            &mut self.stats,
+        );
+        let xmit_at = t0 + decision.backoff.as_nanos() as u64;
         let mut delay_ns = (decision.delay_us * 1_000.0) as u64;
         if decision.hold {
             // The reorder fault holds a first transmission back until
@@ -648,10 +603,12 @@ impl VirtualCluster {
         }
         let deliver_at = xmit_at + wire + delay_ns;
 
-        self.stats.messages += 1;
-        self.stats.bytes += bytes as u64;
-        self.stats.modeled_ns += wire + delay_ns;
-        let _ = writeln!(self.log, "S {t0} {src} {to} {seq} {bytes} {}", attempt + 1);
+        self.stats.record(bytes, wire + delay_ns);
+        let _ = writeln!(
+            self.log,
+            "S {t0} {src} {to} {seq} {bytes} {}",
+            decision.attempts
+        );
 
         let msg = VMessage {
             from: src,
@@ -661,7 +618,6 @@ impl VirtualCluster {
             payload,
         };
         if decision.duplicate {
-            self.stats.dups_injected += 1;
             let mut dup = msg.clone();
             dup.at += 1;
             self.wheel
@@ -673,9 +629,9 @@ impl VirtualCluster {
 
     /// Marks `rank` crashed and schedules the peer-failure cascade: every
     /// other unfinished worker learns of the death one detection budget
-    /// later (the same budget the threaded fabric's retry loop spends
-    /// before declaring a peer unreachable — see
-    /// [`clock::detection_budget`]).
+    /// later (the span a retransmitting sender spends before declaring
+    /// a peer unreachable, [`clock::detection_budget`]; the threaded
+    /// fabric dates its failure notices the same way).
     fn crash(&mut self, rank: usize) {
         self.crashed[rank] = true;
         let vt = self.local_vt[rank];
@@ -729,13 +685,10 @@ impl VirtualCluster {
         if let Some(e) = &self.failed[me] {
             return Err(e.clone());
         }
-        if let Some(c) = self.cfg.chaos.crash {
-            if c.rank == me && self.data_sends[me] + 1 >= c.at_send.max(1) {
-                self.crash(me);
-                return Err(CommError::Crashed);
-            }
+        if crash_on_send(&self.cfg.chaos, me, &mut self.data_sends[me]) {
+            self.crash(me);
+            return Err(CommError::Crashed);
         }
-        self.data_sends[me] += 1;
         self.send_from(me, to, tag, payload);
         Ok(())
     }

@@ -1,46 +1,49 @@
-//! The worker fabric: reliable channels, message-based barriers, tagged
-//! receive, all-to-all — hardened against a seeded [`ChaosSchedule`].
+//! The worker fabric: sequenced channels, message-based barriers, tagged
+//! receive, all-to-all — under a seeded [`ChaosSchedule`].
 //!
-//! # Reliable delivery
+//! # Delivery
 //!
 //! Every payload [`WorkerComm::send`] ships carries a per-destination
-//! sequence number and stays in the sender's retransmission buffer until
-//! the receiver acknowledges it. Retransmission fires on a timeout with
-//! capped exponential backoff ([`RetryPolicy`]); receivers acknowledge
-//! every arrival, deduplicate by `(sender, seq)`, and park out-of-order
-//! arrivals, so any schedule of drops, duplicates, reorders, and delays
-//! still delivers every payload exactly once to the application. Fault
-//! decisions are pure functions of `(seed, src, dst, seq, attempt)` —
-//! never of shared mutable counters — so a seed reproduces the same
-//! fault pattern on every run. Acknowledgements and aborts ride outside
-//! the sequenced stream and are never chaos-injected (a lost ack is
-//! indistinguishable from a lost message and is healed the same way: the
-//! sender retransmits, the receiver re-acks).
+//! sequence number, and its fate comes from the chaos walk that the
+//! virtual runtime takes too. The channels underneath cannot lose a
+//! packet, so a message whose first transmissions the schedule drops is
+//! sent once, due after the backoffs ([`RetryPolicy`]) a retransmitting
+//! sender would have waited. A duplicate rides in its
+//! original's packet and is taken in twice, the copy through the same
+//! dedup window as any arrival. A reorder hold keeps the packet back
+//! until the next send to that peer or the next blocking wait. So any
+//! schedule of drops, duplicates, reorders, and delays still delivers
+//! every payload exactly once to the application, and the fault
+//! counters are the wheel's, message for message. Barrier frames, aborts
+//! and failure notices ride outside the sequenced stream and are never
+//! chaos-injected, as the wheel's barriers are not.
 //!
 //! # Barriers and failure detection
 //!
-//! Barriers are message-based — a reliable empty payload per peer on a
-//! reserved tag — and double as the failure detector: a worker that hit
-//! its schedule's [`CrashPoint`] stops sending, its peers' retransmits
-//! go unacknowledged, and once the attempt budget or receive patience is
-//! exhausted the waiting worker returns a structured [`CommError`]
-//! instead of hanging. The first worker to detect a failure broadcasts
-//! an abort so the whole fleet unwinds within roughly one timeout,
-//! letting `dist::runtime` re-drive the epoch from its epoch-start
-//! checkpoint.
+//! Barriers are message-based: an empty frame per peer, on a reserved
+//! per-generation tag. A worker that hits its schedule's [`CrashPoint`]
+//! sends every peer a failure notice due one
+//! [`clock::detection_budget`] later (when a retransmitting sender would
+//! have given up on it) and stops. A peer blocked in a receive or a
+//! barrier then returns [`CommError::PeerUnreachable`], letting
+//! `dist::runtime` re-drive the epoch from its epoch-start checkpoint.
+//! The receive patience stays as the hang guard: a receive that outlives
+//! it broadcasts an abort, so the whole fleet unwinds.
 //!
 //! A schedule installed with [`Fabric::set_chaos`] is published as an
 //! immutable `Arc` and adopted by each worker only at barrier points (or
 //! on its first fabric operation), so a schedule can never tear across a
 //! message batch.
+//!
+//! [`CrashPoint`]: crate::CrashPoint
 
 use crate::chaos::ChaosSchedule;
-use crate::clock::{self, backoff_for, wait_until};
+use crate::clock::{self, wait_until};
+use crate::fate::{crash_on_send, fate, DedupWindow};
 use crate::stats::{CommStats, CostModel};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,18 +54,14 @@ const BARRIER_TAG_BASE: u32 = 0xFFFF_0000;
 /// returns one instead of hanging when a peer is gone.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommError {
-    /// This worker reached its scheduled [`CrashPoint`] and must stop.
+    /// This worker reached its scheduled [`crate::CrashPoint`] and must
+    /// stop.
     Crashed,
-    /// Retransmissions to `rank` exhausted the retry budget, or a
-    /// directed receive from `rank` outlived the receive patience.
+    /// Peer `rank` crashed, or a directed receive from `rank` outlived
+    /// the receive patience.
     PeerUnreachable {
         /// The unresponsive peer.
         rank: usize,
-    },
-    /// An any-source receive outlived the receive patience.
-    RecvTimeout {
-        /// The tag that never arrived.
-        tag: u32,
     },
     /// Peer `by` detected a failure and aborted the epoch.
     Aborted {
@@ -76,7 +75,6 @@ impl std::fmt::Display for CommError {
         match self {
             Self::Crashed => write!(f, "worker hit its scheduled crash point"),
             Self::PeerUnreachable { rank } => write!(f, "peer {rank} unreachable"),
-            Self::RecvTimeout { tag } => write!(f, "no message with tag {tag} within patience"),
             Self::Aborted { by } => write!(f, "epoch aborted by peer {by}"),
         }
     }
@@ -84,16 +82,18 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// Retransmission and failure-detection knobs.
+/// Retransmission and failure-detection timing: the delays a dropped
+/// message costs, and how long a crash takes to detect.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// Time before the first retransmission of an unacked message; also
+    /// Time before the first retransmission of a dropped message; also
     /// the unit the exponential backoff doubles from.
     pub base_timeout: Duration,
     /// Cap on the backoff between retransmissions.
     pub max_backoff: Duration,
     /// Transmissions (including the first) before a peer is declared
-    /// unreachable.
+    /// unreachable; with the backoffs, this sets
+    /// [`clock::detection_budget`].
     pub max_attempts: u32,
     /// How long a blocking receive waits before declaring failure.
     pub patience: Duration,
@@ -138,12 +138,22 @@ pub struct Message {
 /// Wire frames. Only `Data` is sequenced and chaos-injected.
 #[derive(Clone, Debug)]
 enum Frame {
-    Data { seq: u64, tag: u32, payload: Bytes },
-    Ack { seq: u64 },
+    Data {
+        seq: u64,
+        tag: u32,
+        payload: Bytes,
+    },
+    /// The sender reached barrier `tag`.
+    Barrier {
+        tag: u32,
+    },
+    /// The sender detected a failure and aborted.
     Abort,
+    /// The sender crashed.
+    Failure,
 }
 
-/// One transmission on the simulated wire.
+/// One packet on the simulated wire.
 #[derive(Clone, Debug)]
 struct Packet {
     from: usize,
@@ -152,20 +162,6 @@ struct Packet {
     /// A chaos duplicate: the receiver ingests the frame twice, the
     /// copy right behind the original.
     duplicated: bool,
-}
-
-/// An unacknowledged send awaiting its ack or next retransmission.
-struct Unacked {
-    tag: u32,
-    payload: Bytes,
-    /// Transmissions made so far (>= 1 once buffered).
-    attempts: u32,
-    /// Whether a transmission has survived the chaos schedule. The
-    /// attempts up to the first survivor form the message's
-    /// deterministic attempt chain; later retransmissions depend on
-    /// when acks arrive, so they are counted apart.
-    survived: bool,
-    next_retry: Instant,
 }
 
 struct Shared {
@@ -198,13 +194,7 @@ impl Fabric {
             retry,
             chaos: Mutex::new(Arc::new(ChaosSchedule::default())),
         });
-        let mut senders = Vec::with_capacity(k);
-        let mut receivers = Vec::with_capacity(k);
-        for _ in 0..k {
-            let (s, r) = unbounded::<Packet>();
-            senders.push(s);
-            receivers.push(r);
-        }
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..k).map(|_| unbounded::<Packet>()).unzip();
         let workers = receivers
             .into_iter()
             .enumerate()
@@ -217,14 +207,12 @@ impl Fabric {
                 shared: shared.clone(),
                 chaos: None,
                 next_seq: vec![0; k],
-                unacked: (0..k).map(|_| BTreeMap::new()).collect(),
                 held: vec![Vec::new(); k],
-                seen_upto: vec![0; k],
-                seen_ahead: (0..k).map(|_| HashSet::new()).collect(),
+                seen: DedupWindow::new(k),
                 barrier_gen: 0,
                 data_sends: 0,
-                crashed: false,
-                aborted: None,
+                failed: None,
+                notice: None,
             })
             .collect();
         (Self { shared }, workers)
@@ -242,33 +230,31 @@ impl Fabric {
     }
 }
 
-/// One worker's endpoint into the fabric.
+/// One worker's endpoint into the fabric. Dropping it releases any
+/// packets the reorder fault still holds back.
 pub struct WorkerComm {
     rank: usize,
     k: usize,
     senders: Vec<Sender<Packet>>,
     receiver: Receiver<Packet>,
-    /// Delivered-but-unclaimed messages parked until their tag is asked
-    /// for.
+    /// Delivered-but-unclaimed messages, in arrival order, parked until
+    /// their `(from, tag)` is asked for.
     pending: Vec<Message>,
     shared: Arc<Shared>,
     /// This worker's adopted schedule; refreshed only at barriers.
     chaos: Option<Arc<ChaosSchedule>>,
     /// Next sequence number per destination (1-based; 0 = none sent).
     next_seq: Vec<u64>,
-    /// Per-destination sends awaiting acknowledgement, keyed by seq.
-    unacked: Vec<BTreeMap<u64, Unacked>>,
     /// Per-destination packets held back by the reorder fault.
     held: Vec<Vec<Packet>>,
-    /// Highest contiguously-received seq per source.
-    seen_upto: Vec<u64>,
-    /// Received seqs ahead of the contiguous frontier, per source.
-    seen_ahead: Vec<HashSet<u64>>,
+    seen: DedupWindow,
     barrier_gen: u64,
-    /// Application (non-control) sends attempted, for [`CrashPoint`].
+    /// Application sends made, for the [`crate::CrashPoint`].
     data_sends: u64,
-    crashed: bool,
-    aborted: Option<usize>,
+    /// The latched failure: every later operation returns it.
+    failed: Option<CommError>,
+    /// The earliest failure notice received: its sender and due time.
+    notice: Option<(usize, Instant)>,
 }
 
 impl WorkerComm {
@@ -282,85 +268,59 @@ impl WorkerComm {
         self.k
     }
 
-    /// Sends `payload` to worker `to` with application `tag`, reliably:
-    /// the message is buffered until acknowledged and retransmitted per
-    /// the fabric's [`RetryPolicy`].
+    /// The latched failure, if an operation has failed.
+    pub(crate) fn failed(&self) -> Option<CommError> {
+        self.failed.clone()
+    }
+
+    fn check(&self) -> Result<(), CommError> {
+        self.failed.clone().map_or(Ok(()), Err)
+    }
+
+    fn fail(&mut self, e: CommError) -> CommError {
+        self.failed = Some(e.clone());
+        e
+    }
+
+    /// Sends `payload` to worker `to` with application `tag`, reliably.
     ///
-    /// The sender returns immediately (delivery is delayed by the cost
-    /// model's wire time when `simulate_delay` is on, so payloads are
-    /// genuinely "in flight" — the property pipeline processing overlaps
-    /// against). Errors surface lazily: an exhausted retry budget is
-    /// reported by whichever blocking call is pumping at the time.
+    /// The sender returns immediately. The packet becomes visible to
+    /// the receiver after the backoffs of any dropped transmissions, the
+    /// chaos delay, and — when `simulate_delay` is on — the cost model's
+    /// wire time, so payloads are genuinely "in flight": the property
+    /// pipeline processing overlaps against.
     ///
     /// # Panics
     ///
     /// Panics if `tag` is in the reserved barrier range (`>= 0xFFFF_0000`).
     pub fn send(&mut self, to: usize, tag: u32, payload: Bytes) -> Result<(), CommError> {
         assert!(tag < BARRIER_TAG_BASE, "tags >= 0xFFFF_0000 are reserved");
-        self.send_inner(to, tag, payload, false)
-    }
-
-    fn send_inner(
-        &mut self,
-        to: usize,
-        tag: u32,
-        payload: Bytes,
-        control: bool,
-    ) -> Result<(), CommError> {
-        if self.crashed {
-            return Err(CommError::Crashed);
-        }
-        if let Some(by) = self.aborted {
-            return Err(CommError::Aborted { by });
-        }
+        self.check()?;
         let chaos = self.chaos_snapshot();
-        if !control {
-            if let Some(c) = chaos.crash {
-                if c.rank == self.rank && self.data_sends + 1 >= c.at_send.max(1) {
-                    self.crashed = true;
-                    return Err(CommError::Crashed);
-                }
-            }
-            self.data_sends += 1;
+        if crash_on_send(&chaos, self.rank, &mut self.data_sends) {
+            self.crash();
+            return Err(self.fail(CommError::Crashed));
         }
         self.next_seq[to] += 1;
         let seq = self.next_seq[to];
-        let d = chaos.decide(self.rank, to, seq, 0);
-        let wire_us = self.shared.model.wire_us(payload.len());
-        if control {
-            self.shared.stats.record_control();
-        } else {
-            self.shared
-                .stats
-                .record(payload.len(), wire_us + d.delay_us);
-        }
-        self.unacked[to].insert(
-            seq,
-            Unacked {
-                tag,
-                payload: payload.clone(),
-                attempts: 1,
-                survived: !d.drop,
-                next_retry: Instant::now() + self.shared.retry.base_timeout,
-            },
-        );
-        let mut pkt = Packet {
+        let (model, retry) = (self.shared.model, self.shared.retry);
+        let wire_ns = (model.wire_us(payload.len()) * 1_000.0) as u64;
+        let (f, delay_ns) = self.shared.stats.with(|st| {
+            let f = fate(&chaos, &retry, |_| false, self.rank, to, seq, st);
+            let delay_ns = (f.delay_us * 1_000.0) as u64;
+            st.record(payload.len(), wire_ns + delay_ns);
+            (f, delay_ns)
+        });
+        let wire_wait_ns = if model.simulate_delay { wire_ns } else { 0 };
+        let pkt = Packet {
             from: self.rank,
-            deliver_at: delivery_instant(self.shared.model, wire_us, d.delay_us),
+            deliver_at: Instant::now() + f.backoff + Duration::from_nanos(wire_wait_ns + delay_ns),
             frame: Frame::Data { seq, tag, payload },
-            duplicated: false,
+            duplicated: f.duplicate,
         };
-        if d.drop {
-            self.shared.stats.record_drop_injected();
-            return Ok(());
-        }
-        if d.hold && self.held[to].len() < chaos.reorder_window {
+        if f.hold && self.held[to].len() < chaos.reorder_window {
             self.held[to].push(pkt);
             return Ok(());
-        }
-        if d.duplicate {
-            self.shared.stats.record_dup_injected();
-            pkt.duplicated = true;
         }
         self.transmit(to, pkt);
         // A normal transmission releases anything held back for this
@@ -369,10 +329,33 @@ impl WorkerComm {
         Ok(())
     }
 
-    /// Best-effort raw transmit: a crashed or finished peer may have
-    /// dropped its receiver; that failure surfaces through timeouts.
+    /// Dies at the crash point: releases what the reorder fault holds
+    /// (it was sent before the crash), then dates every peer's failure
+    /// notice one detection budget ahead, as the wheel does.
+    fn crash(&mut self) {
+        self.flush_all_held();
+        let due = Instant::now() + clock::detection_budget(&self.shared.retry);
+        self.broadcast(Frame::Failure, due);
+    }
+
+    /// Best-effort raw transmit: a finished peer has dropped its
+    /// receiver, and it needs nothing more.
     fn transmit(&self, to: usize, pkt: Packet) {
         let _ = self.senders[to].send(pkt);
+    }
+
+    fn broadcast(&self, frame: Frame, deliver_at: Instant) {
+        for p in (0..self.k).filter(|&p| p != self.rank) {
+            self.transmit(
+                p,
+                Packet {
+                    from: self.rank,
+                    deliver_at,
+                    frame: frame.clone(),
+                    duplicated: false,
+                },
+            );
+        }
     }
 
     fn flush_held(&mut self, to: usize) {
@@ -388,302 +371,113 @@ impl WorkerComm {
     }
 
     fn chaos_snapshot(&mut self) -> Arc<ChaosSchedule> {
-        if self.chaos.is_none() {
-            self.chaos = Some(self.shared.chaos.lock().clone());
-        }
-        self.chaos.clone().expect("just installed")
+        self.chaos
+            .get_or_insert_with(|| self.shared.chaos.lock().clone())
+            .clone()
     }
 
-    /// Ingests one wire packet: acks data, dedups, latches aborts. A
-    /// duplicated packet is ingested twice, so its copy goes through
-    /// the same dedup as any other.
-    fn process_packet(&mut self, pkt: Packet) -> Result<(), CommError> {
-        if pkt.duplicated {
-            self.ingest(pkt.from, pkt.deliver_at, pkt.frame.clone(), false)?;
-            return self.ingest(pkt.from, pkt.deliver_at, pkt.frame, true);
-        }
-        self.ingest(pkt.from, pkt.deliver_at, pkt.frame, false)
-    }
-
-    /// Ingests one arrival of `frame`; `dup` marks a chaos duplicate.
-    fn ingest(
-        &mut self,
-        from: usize,
-        deliver_at: Instant,
-        frame: Frame,
-        dup: bool,
-    ) -> Result<(), CommError> {
-        match frame {
-            Frame::Ack { seq } => {
-                self.unacked[from].remove(&seq);
-                Ok(())
-            }
-            Frame::Abort => {
-                self.aborted = Some(from);
-                Err(CommError::Aborted { by: from })
-            }
+    /// Ingests one wire packet: dedups data, parks it, notes failure
+    /// notices, latches aborts. A duplicated packet's frame is taken in
+    /// twice, so its copy meets the dedup window like any arrival.
+    fn ingest(&mut self, pkt: Packet) -> Result<(), CommError> {
+        let (from, deliver_at) = (pkt.from, pkt.deliver_at);
+        match pkt.frame {
             Frame::Data { seq, tag, payload } => {
-                // Always (re-)acknowledge: the previous ack may itself
-                // have been lost in flight while the sender retried.
-                self.shared.stats.record_ack();
-                self.transmit(
-                    from,
-                    Packet {
-                        from: self.rank,
-                        deliver_at: Instant::now(),
-                        frame: Frame::Ack { seq },
-                        duplicated: false,
-                    },
-                );
-                if self.already_seen(from, seq) {
-                    // A chaos duplicate or a timeout copy: drop it. Only
-                    // duplicates count: each is ingested with its
-                    // original, so the count does not depend on timing.
-                    if dup {
-                        self.shared.stats.record_redelivery();
+                for _ in 0..=u8::from(pkt.duplicated) {
+                    if self.seen.first_arrival(from, seq) {
+                        let payload = payload.clone();
+                        self.pending.push(Message {
+                            from,
+                            tag,
+                            payload,
+                            deliver_at,
+                        });
+                    } else {
+                        self.shared.stats.with(|st| st.redeliveries += 1);
                     }
-                    return Ok(());
                 }
-                self.mark_seen(from, seq);
-                self.pending.push(Message {
-                    from,
-                    tag,
-                    payload,
-                    deliver_at,
-                });
-                Ok(())
             }
-        }
-    }
-
-    fn already_seen(&self, from: usize, seq: u64) -> bool {
-        seq <= self.seen_upto[from] || self.seen_ahead[from].contains(&seq)
-    }
-
-    fn mark_seen(&mut self, from: usize, seq: u64) {
-        if seq == self.seen_upto[from] + 1 {
-            self.seen_upto[from] = seq;
-            // Advance the contiguous frontier through anything that
-            // arrived early.
-            while self.seen_ahead[from].remove(&(self.seen_upto[from] + 1)) {
-                self.seen_upto[from] += 1;
+            Frame::Barrier { tag } => self.pending.push(Message {
+                from,
+                tag,
+                payload: Bytes::from_static(b""),
+                deliver_at,
+            }),
+            Frame::Abort => return Err(self.fail(CommError::Aborted { by: from })),
+            Frame::Failure => {
+                if self.notice.is_none_or(|(_, due)| deliver_at < due) {
+                    self.notice = Some((from, deliver_at));
+                }
             }
-        } else {
-            self.seen_ahead[from].insert(seq);
-        }
-    }
-
-    /// The earliest pending retransmission deadline across all peers, if
-    /// any message is unacked — what bounds the next blocking wait.
-    fn earliest_retry(&self) -> Option<Instant> {
-        self.unacked
-            .iter()
-            .flat_map(|m| m.values().map(|u| u.next_retry))
-            .min()
-    }
-
-    /// Retransmits every overdue unacked message; errors once a peer has
-    /// exhausted the attempt budget.
-    ///
-    /// Retries and drops are counted only along each message's attempt
-    /// chain, which the seed fixes. A copy sent after an earlier one
-    /// survived counts as a timeout copy instead: it exists only because
-    /// an ack was slow.
-    fn pump_retries(&mut self) -> Result<(), CommError> {
-        let now = Instant::now();
-        let retry = self.shared.retry;
-        let chaos = self.chaos_snapshot();
-        let mut out: Vec<(usize, Packet)> = Vec::new();
-        let mut exhausted = None;
-        'peers: for p in 0..self.k {
-            for (&seq, u) in self.unacked[p].iter_mut() {
-                if u.next_retry > now {
-                    continue;
-                }
-                if u.attempts >= retry.max_attempts {
-                    exhausted = Some(p);
-                    break 'peers;
-                }
-                let d = chaos.decide(self.rank, p, seq, u.attempts);
-                u.next_retry = now + backoff_for(retry, u.attempts);
-                u.attempts += 1;
-                if u.survived {
-                    self.shared.stats.record_timeout_copy();
-                } else {
-                    self.shared.stats.record_retry();
-                    if d.drop {
-                        self.shared.stats.record_drop_injected();
-                    }
-                    u.survived = !d.drop;
-                }
-                if d.drop {
-                    continue;
-                }
-                let wire_us = self.shared.model.wire_us(u.payload.len());
-                out.push((
-                    p,
-                    Packet {
-                        from: self.rank,
-                        deliver_at: delivery_instant(self.shared.model, wire_us, d.delay_us),
-                        frame: Frame::Data {
-                            seq,
-                            tag: u.tag,
-                            payload: u.payload.clone(),
-                        },
-                        duplicated: false,
-                    },
-                ));
-            }
-        }
-        for (p, pkt) in out {
-            self.transmit(p, pkt);
-        }
-        if let Some(rank) = exhausted {
-            self.broadcast_abort();
-            return Err(CommError::PeerUnreachable { rank });
         }
         Ok(())
     }
 
-    fn broadcast_abort(&self) {
-        for p in 0..self.k {
-            if p != self.rank {
-                self.transmit(
-                    p,
-                    Packet {
-                        from: self.rank,
-                        deliver_at: Instant::now(),
-                        frame: Frame::Abort,
-                        duplicated: false,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Receives the next message carrying `tag` (from `from`, when
-    /// given), blocking until its modeled delivery time while pumping
-    /// acks and retransmissions. Messages with other tags are parked.
-    fn recv_match(&mut self, from: Option<usize>, tag: u32) -> Result<Message, CommError> {
-        if self.crashed {
-            return Err(CommError::Crashed);
-        }
-        if let Some(by) = self.aborted {
-            return Err(CommError::Aborted { by });
-        }
+    /// Receives the next message carrying `tag` from `from`, blocking
+    /// until its modeled delivery time. Messages with other coordinates
+    /// are parked; a peer's same-tag messages come out in arrival order.
+    /// This is the deterministic-order receive that keeps floating-point
+    /// folds bitwise reproducible under reordering chaos.
+    pub fn recv_tag_from(&mut self, from: usize, tag: u32) -> Result<Message, CommError> {
+        self.check()?;
         // Entering a blocking wait: release anything held back by the
         // reorder fault so it cannot be withheld indefinitely.
         self.flush_all_held();
-        let retry = self.shared.retry;
-        let deadline = Instant::now() + retry.patience;
-        let tick = clock::tick_of(&retry);
+        let deadline = Instant::now() + self.shared.retry.patience;
         loop {
             if let Some(pos) = self
                 .pending
                 .iter()
-                .position(|m| m.tag == tag && from.is_none_or(|f| m.from == f))
+                .position(|m| m.from == from && m.tag == tag)
             {
-                let msg = self.pending.swap_remove(pos);
+                let msg = self.pending.remove(pos);
                 wait_until(msg.deliver_at);
                 return Ok(msg);
             }
-            // Block exactly until the next thing that could need us: an
-            // arriving packet, the next due retransmission, or the
-            // patience expiry — never a fixed sleep longer than one tick.
-            let wait = clock::next_wait(Instant::now(), deadline, self.earliest_retry(), tick);
-            match self.receiver.recv_timeout(wait) {
-                Ok(pkt) => self.process_packet(pkt)?,
-                Err(RecvTimeoutError::Timeout) => {}
-                // Can't happen (we hold a clone of our own sender), but
-                // don't busy-spin if it somehow does.
-                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
+            let now = Instant::now();
+            let mut wake = deadline;
+            if let Some((culprit, due)) = self.notice {
+                if now >= due {
+                    return Err(self.fail(CommError::PeerUnreachable { rank: culprit }));
+                }
+                wake = wake.min(due);
             }
-            self.pump_retries()?;
-            if Instant::now() > deadline {
-                self.broadcast_abort();
-                return Err(match from {
-                    Some(rank) => CommError::PeerUnreachable { rank },
-                    None => CommError::RecvTimeout { tag },
-                });
+            if now >= deadline {
+                self.broadcast(Frame::Abort, now);
+                return Err(self.fail(CommError::PeerUnreachable { rank: from }));
+            }
+            // We hold a sender to our own channel, so this only ever
+            // times out or yields a packet.
+            if let Ok(pkt) = self.receiver.recv_timeout(wake - now) {
+                self.ingest(pkt)?;
             }
         }
-    }
-
-    /// Receives the next message carrying `tag` from a specific peer —
-    /// the deterministic-order receive that keeps floating-point folds
-    /// bitwise reproducible under reordering chaos.
-    pub fn recv_tag_from(&mut self, from: usize, tag: u32) -> Result<Message, CommError> {
-        self.recv_match(Some(from), tag)
     }
 
     /// Blocks until every worker reaches the barrier, by exchanging
-    /// reliable empty messages on a reserved per-generation tag. Doubles
-    /// as the failure detector (a missing peer turns into
-    /// [`CommError::PeerUnreachable`] after the retry budget) and as the
+    /// empty frames on a reserved per-generation tag. Doubles as the
     /// adoption point for schedules published via [`Fabric::set_chaos`].
     pub fn barrier(&mut self) -> Result<(), CommError> {
-        if self.crashed {
-            return Err(CommError::Crashed);
-        }
-        if let Some(by) = self.aborted {
-            return Err(CommError::Aborted { by });
-        }
+        self.check()?;
         self.barrier_gen += 1;
         let tag = BARRIER_TAG_BASE | (self.barrier_gen as u32 & 0xFFFF);
-        for p in 0..self.k {
-            if p != self.rank {
-                self.send_inner(p, tag, Bytes::from_static(b""), true)?;
-            }
+        // Data sent before the barrier leaves before its frames.
+        self.flush_all_held();
+        self.broadcast(Frame::Barrier { tag }, Instant::now());
+        let me = self.rank;
+        for p in (0..self.k).filter(|&p| p != me) {
+            self.recv_tag_from(p, tag)?;
         }
-        for p in 0..self.k {
-            if p != self.rank {
-                self.recv_match(Some(p), tag)?;
-            }
-        }
-        // Quiesce before declaring the barrier passed: a worker that
-        // returns from its last barrier and exits while a dropped send
-        // is still unacked would strand the retransmission, leaving the
-        // receiver to burn its whole patience window.
-        self.drain_unacked()?;
         // Everyone is between batches: safe to adopt a new schedule.
         self.chaos = Some(self.shared.chaos.lock().clone());
         Ok(())
     }
 
-    /// Blocks until every message this worker has sent is acknowledged,
-    /// processing (and acking) incoming traffic meanwhile. Peers that
-    /// still owe us acks are necessarily parked in their own barrier
-    /// receive or drain loop, so this terminates without a distributed
-    /// cycle: acknowledging never requires anything in return.
-    fn drain_unacked(&mut self) -> Result<(), CommError> {
-        let retry = self.shared.retry;
-        let deadline = Instant::now() + retry.patience;
-        let tick = clock::tick_of(&retry);
-        while self.unacked.iter().any(|m| !m.is_empty()) {
-            let wait = clock::next_wait(Instant::now(), deadline, self.earliest_retry(), tick);
-            match self.receiver.recv_timeout(wait) {
-                Ok(pkt) => self.process_packet(pkt)?,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
-            }
-            self.pump_retries()?;
-            if Instant::now() > deadline {
-                self.broadcast_abort();
-                let rank = self
-                    .unacked
-                    .iter()
-                    .position(|m| !m.is_empty())
-                    .expect("checked by the loop condition");
-                return Err(CommError::PeerUnreachable { rank });
-            }
-        }
-        Ok(())
-    }
-
     /// All-to-all exchange for one round: sends `outgoing[p]` to each
     /// other worker `p` (entries for `self.rank` are ignored), then
-    /// receives exactly one message from every other worker. Returns
-    /// `(from, payload)` pairs in arrival order.
+    /// receives one message with `tag` from every other worker, in rank
+    /// order. Returns `(from, payload)` pairs in rank order; a peer's
+    /// further same-tag messages stay parked for later receives.
     pub fn exchange(
         &mut self,
         tag: u32,
@@ -695,41 +489,24 @@ impl WorkerComm {
                 self.send(p, tag, payload)?;
             }
         }
-        let mut seen = vec![false; self.k];
-        let mut got = Vec::with_capacity(self.k.saturating_sub(1));
-        while got.len() < self.k - 1 {
-            let msg = self.recv_match(None, tag)?;
-            // The transport already dedups; this guards against a peer
-            // legitimately sending the same tag twice in one round.
-            if seen[msg.from] {
-                continue;
-            }
-            seen[msg.from] = true;
-            got.push((msg.from, msg.payload));
-        }
-        Ok(got)
+        let me = self.rank;
+        (0..self.k)
+            .filter(|&p| p != me)
+            .map(|p| Ok((p, self.recv_tag_from(p, tag)?.payload)))
+            .collect()
     }
 }
 
-/// When the packet becomes visible to the receiver: wire time only when
-/// the model simulates delay, chaos delay always.
-fn delivery_instant(model: CostModel, wire_us: f64, chaos_delay_us: f64) -> Instant {
-    let us = if model.simulate_delay {
-        wire_us + chaos_delay_us
-    } else {
-        chaos_delay_us
-    };
-    if us > 0.0 {
-        Instant::now() + Duration::from_nanos((us * 1_000.0) as u64)
-    } else {
-        Instant::now()
+impl Drop for WorkerComm {
+    fn drop(&mut self) {
+        self.flush_all_held();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{CostModel, StatsSnapshot};
+    use crate::stats::CostModel;
 
     fn spawn_workers<F, R>(k: usize, model: CostModel, f: F) -> (Fabric, Vec<R>)
     where
@@ -770,8 +547,6 @@ mod tests {
         let (_fabric, results) = spawn_workers(2, CostModel::accounting_only(), |mut w| {
             if w.rank() == 0 {
                 w.send(1, 7, Bytes::from_static(b"hello")).unwrap();
-                // Pump until the receiver has our payload (the final
-                // barrier keeps retransmission alive under chaos).
                 w.barrier().unwrap();
                 Vec::new()
             } else {
@@ -822,9 +597,38 @@ mod tests {
                 assert_eq!(payload.as_ref(), &[*from as u8]);
             }
         }
-        // Application traffic only: acks and barriers are accounted as
-        // control, so the figure stays comparable to the paper's counts.
+        // Application traffic only: barrier frames are not counted, so
+        // the figure stays comparable to the paper's counts.
         assert_eq!(fabric.stats().messages(), (k * (k - 1)) as u64);
+    }
+
+    #[test]
+    fn exchange_leaves_a_second_same_tag_message_parked() {
+        let k = 3;
+        let (_f, results) = spawn_workers(k, CostModel::accounting_only(), |mut w| {
+            let me = w.rank() as u8;
+            if me == 0 {
+                // An extra tag-5 message to rank 2, ahead of the round.
+                w.send(2, 5, Bytes::from_static(b"early")).unwrap();
+            }
+            let out: Vec<Bytes> = (0..k).map(|_| Bytes::copy_from_slice(&[me])).collect();
+            let got = w.exchange(5, out).unwrap();
+            let mut seen: Vec<Vec<u8>> = got.iter().map(|(_, p)| p.to_vec()).collect();
+            assert_eq!(
+                got.iter().map(|(from, _)| *from).collect::<Vec<_>>(),
+                (0..k).filter(|&p| p != w.rank()).collect::<Vec<_>>(),
+                "rank order"
+            );
+            if me == 2 {
+                // Rank 0's round payload came second on its link, so it
+                // is still parked.
+                seen.push(w.recv_tag_from(0, 5).unwrap().payload.to_vec());
+            }
+            w.barrier().unwrap();
+            seen
+        });
+        assert_eq!(results[2], vec![b"early".to_vec(), vec![1], vec![0]]);
+        assert_eq!(results[1], vec![vec![0], vec![2]]);
     }
 
     #[test]
@@ -873,8 +677,8 @@ mod tests {
 
     #[test]
     fn duplicate_chaos_is_deduplicated_by_transport() {
-        // Every first transmission is duplicated, barrier traffic
-        // included.
+        // Every first transmission is duplicated; barrier frames ride
+        // outside the chaos stream.
         let chaos = ChaosSchedule {
             seed: 1,
             duplicate_every: 1,
@@ -897,80 +701,18 @@ mod tests {
                 // Ingest whatever is still queued: a copy that got past
                 // dedup would stay parked here.
                 while let Ok(pkt) = w.receiver.try_recv() {
-                    w.process_packet(pkt).unwrap();
+                    w.ingest(pkt).unwrap();
                 }
                 assert!(w.pending.is_empty(), "a duplicate surfaced");
                 got
             });
         assert_eq!(results[1], (0..N).collect::<Vec<_>>(), "each payload once");
-        // Each logical message counted once; every duplicate — the N
-        // data messages' and the two barrier messages' — was discarded.
+        // Each logical message counted once; every duplicate was
+        // discarded.
         let st = fabric.stats();
         assert_eq!(st.messages(), u64::from(N));
-        assert_eq!(st.dups_injected(), u64::from(N) + 2);
+        assert_eq!(st.dups_injected(), u64::from(N));
         assert_eq!(st.redeliveries(), st.dups_injected());
-    }
-
-    #[test]
-    fn fault_counters_ignore_timeout_copies() {
-        // Drops, duplicates and a wire delay that holds receivers in
-        // `wait_until`, so their acks go out late.
-        let chaos = ChaosSchedule {
-            seed: 17,
-            drop_every: 3,
-            drop_prob: 0.3,
-            duplicate_every: 4,
-            extra_delay_us: 2_000.0,
-            jitter_us: 1_000.0,
-            ..Default::default()
-        };
-        let run = |base_timeout: Duration| {
-            let retry = RetryPolicy {
-                base_timeout,
-                max_backoff: base_timeout * 4,
-                max_attempts: 10_000,
-                patience: Duration::from_secs(10),
-            };
-            let (fabric, workers) = Fabric::with_retry(3, CostModel::accounting_only(), retry);
-            fabric.set_chaos(chaos);
-            crossbeam::thread::scope(|s| {
-                for mut w in workers {
-                    s.spawn(move |_| {
-                        let me = w.rank();
-                        for p in (0..3).filter(|&p| p != me) {
-                            for i in 0..12u8 {
-                                w.send(p, 1, Bytes::copy_from_slice(&[i])).unwrap();
-                            }
-                        }
-                        for p in (0..3).filter(|&p| p != me) {
-                            for _ in 0..12 {
-                                w.recv_tag_from(p, 1).unwrap();
-                            }
-                        }
-                        w.barrier().unwrap();
-                    });
-                }
-            })
-            .unwrap();
-            fabric.stats().snapshot()
-        };
-        // Acks normally beat a 200 ms timeout; a 100 µs one fires while
-        // receivers sleep out the chaos delay, re-sending messages that
-        // already got through.
-        let roomy = run(Duration::from_millis(200));
-        let tight = run(Duration::from_micros(100));
-        assert!(tight.timeout_copies > 0, "the tight policy must re-send");
-        let chain = |s: StatsSnapshot| {
-            (
-                s.messages,
-                s.retries,
-                s.drops_injected,
-                s.dups_injected,
-                s.redeliveries,
-            )
-        };
-        assert_eq!(chain(tight), chain(roomy), "timeouts leaked into counters");
-        assert!(roomy.drops_injected > 0 && roomy.redeliveries > 0);
     }
 
     #[test]
@@ -1111,9 +853,8 @@ mod tests {
             let h0 = s.spawn(move |_| {
                 // First send adopts the (empty) schedule.
                 w0.send(1, 1, Bytes::from_static(b"a")).unwrap();
-                let tick = clock::tick_of(&RetryPolicy::snappy());
                 while !installed_ref.load(Ordering::Acquire) {
-                    std::thread::sleep(tick);
+                    std::thread::sleep(Duration::from_millis(1));
                 }
                 // A schedule installed mid-batch must NOT apply yet.
                 w0.send(1, 1, Bytes::from_static(b"b")).unwrap();

@@ -14,24 +14,27 @@
 //!
 //! The fabric is fault-tolerant, standing in for the fault-tolerance
 //! module of the paper's architecture diagram (Figure 12): every payload
-//! is sequenced, acknowledged, and retransmitted with capped exponential
-//! backoff, receivers deduplicate, and a seeded [`ChaosSchedule`] can
-//! deterministically inject drops, duplicates, reorders, delays, and
+//! is sequenced, receivers deduplicate, and a seeded [`ChaosSchedule`]
+//! can deterministically inject drops, duplicates, reorders, delays, and
 //! single-worker crashes — the substrate `tests/chaos.rs` uses to prove
-//! bitwise-identical epoch outputs under any fault schedule.
-
+//! bitwise-identical epoch outputs under any fault schedule. Each
+//! message's fate under the schedule (how many transmissions it takes,
+//! and the retransmission backoff that costs) comes from one chaos walk
+//! that both transports share, so they count the same faults.
 //!
 //! Workers are written once, as [`SimTask`] step machines ([`task`]).
 //! [`run_on_thread`] steps one on an OS thread over the fabric; for
 //! cluster sizes beyond the host's core count, [`det`] steps them all
 //! on a deterministic virtual-time discrete-event runtime instead.
-//! [`clock`] holds the timeout shapes both transports share.
+//! [`clock`] holds the timeout shapes both transports share, and
+//! [`stats`] their counters.
 
 pub mod chaos;
 pub mod clock;
 pub mod codec;
 pub mod det;
 pub mod fabric;
+mod fate;
 pub mod stats;
 pub mod task;
 
@@ -42,9 +45,8 @@ pub use codec::{
     ServeFrameError,
 };
 pub use det::{
-    fnv1a, EventWheel, FlakyRack, LinkSpec, NetProfile, SimConfig, Straggler, VirtualCluster,
-    VirtualStats, Vt,
+    fnv1a, EventWheel, FlakyRack, LinkSpec, NetProfile, SimConfig, Straggler, VirtualCluster, Vt,
 };
 pub use fabric::{CommError, Fabric, Message, RetryPolicy, WorkerComm};
-pub use stats::{CommStats, CostModel, StatsSnapshot};
+pub use stats::{CommStats, CostModel, VirtualStats};
 pub use task::{run_on_thread, SimTask, TaskCtx, TaskStep, ThreadRun};

@@ -129,7 +129,7 @@ impl<'a> TaskCtx<'a> {
     pub fn failed(&self) -> Option<CommError> {
         match &self.io {
             Io::Wheel(c) => c.failed(self.rank),
-            Io::Thread(t) => t.failed.clone(),
+            Io::Thread(t) => t.comm.failed(),
         }
     }
 
@@ -139,9 +139,7 @@ impl<'a> TaskCtx<'a> {
     pub fn send(&mut self, to: usize, tag: u32, payload: Bytes) -> Result<(), CommError> {
         match &mut self.io {
             Io::Wheel(c) => c.task_send(self.rank, to, tag, payload),
-            Io::Thread(t) => t.comm.send(to, tag, payload).inspect_err(|e| {
-                t.failed.get_or_insert(e.clone());
-            }),
+            Io::Thread(t) => t.comm.send(to, tag, payload),
         }
     }
 
@@ -168,7 +166,6 @@ struct ThreadIo {
     compute_ns: u64,
     /// The message the last blocking receive returned.
     arrived: Option<Message>,
-    failed: Option<CommError>,
 }
 
 /// What [`run_on_thread`] measured of one task.
@@ -182,12 +179,9 @@ pub struct ThreadRun {
 
 /// Steps `task` to completion on the calling thread over `comm`.
 ///
-/// Every wait becomes a blocking fabric call; its error is latched for
-/// [`TaskCtx::failed`]. A task that finishes without a failure then
-/// joins an exit barrier, which keeps this worker pumping acks and
-/// retransmissions until every peer has finished. That barrier's error
-/// (a peer died after this task finished) is dropped: the peer's own
-/// failure reports it.
+/// Every wait becomes a blocking fabric call; the fabric latches its
+/// error for [`TaskCtx::failed`]. The worker leaves as soon as its task
+/// is done: nothing it sent can be lost, so no peer needs it to stay.
 pub fn run_on_thread<T: SimTask + ?Sized>(task: &mut T, comm: WorkerComm) -> ThreadRun {
     let rank = comm.rank();
     let started = Instant::now();
@@ -197,31 +191,24 @@ pub fn run_on_thread<T: SimTask + ?Sized>(task: &mut T, comm: WorkerComm) -> Thr
         mark: started,
         compute_ns: 0,
         arrived: None,
-        failed: None,
     };
     loop {
-        let waited = match task.step(&mut TaskCtx {
+        // A failed wait is latched in the fabric; the task sees it
+        // through `TaskCtx::failed` on its next step.
+        match task.step(&mut TaskCtx {
             rank,
             io: Io::Thread(&mut io),
         }) {
             TaskStep::Done => break,
-            TaskStep::Barrier => io.comm.barrier(),
-            TaskStep::Recv { from, tag } => io
-                .comm
-                .recv_tag_from(from, tag)
-                .map(|m| io.arrived = Some(m)),
-        };
-        if let Err(e) = waited {
-            io.failed.get_or_insert(e);
+            TaskStep::Barrier => {
+                let _ = io.comm.barrier();
+            }
+            TaskStep::Recv { from, tag } => io.arrived = io.comm.recv_tag_from(from, tag).ok(),
         }
         io.mark = Instant::now();
     }
-    let elapsed = started.elapsed();
-    if io.failed.is_none() {
-        let _ = io.comm.barrier();
-    }
     ThreadRun {
-        elapsed,
+        elapsed: started.elapsed(),
         compute_ns: io.compute_ns,
     }
 }

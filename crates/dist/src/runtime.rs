@@ -195,17 +195,8 @@ impl EpochRuntime for ThreadedRuntime {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         })
         .expect("worker panicked");
-        let st = fabric.stats();
         Attempt {
-            traffic: VirtualStats {
-                messages: st.messages(),
-                bytes: st.bytes(),
-                modeled_ns: (st.modeled_us() * 1_000.0).round() as u64,
-                retries: st.retries(),
-                drops_injected: st.drops_injected(),
-                dups_injected: st.dups_injected(),
-                redeliveries: st.redeliveries(),
-            },
+            traffic: fabric.stats().snapshot(),
             elapsed: runs.iter().map(|r| r.elapsed).max().unwrap_or_default(),
             virtual_ns: 0,
             compute: Duration::from_nanos(runs.iter().map(|r| r.compute_ns).sum()),

@@ -127,18 +127,18 @@ impl CommCounters {
     }
 }
 
-/// Fabric-wide counters for one epoch, snapshotted from
-/// `flexgraph_comm::CommStats`. Application traffic (`bytes`,
-/// `messages`) is deterministic; the fault-path counters depend on
-/// timers and chaos schedules and are therefore kept out of the
-/// byte-stable trace fields.
+/// Fabric-wide counters for one epoch, from either runtime's
+/// `flexgraph_comm::VirtualStats`. All of them are deterministic: the
+/// fault-path counters are functions of the chaos seed. Only
+/// application traffic (`bytes`, `messages`) is in the default trace;
+/// the fault-path counters are written alongside the wall fields.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricCounters {
     /// Total payload bytes over the fabric.
     pub bytes: u64,
     /// Total application messages.
     pub messages: u64,
-    /// Retransmissions (timer-dependent: non-deterministic).
+    /// Retransmissions (collapsed into delivery delays).
     pub retries: u64,
     /// Chaos-injected drops.
     pub drops_injected: u64,

@@ -25,12 +25,11 @@
 //! * *At-least-once*: the driver tracks an `answered` map per batch and
 //!   re-drives only unanswered requests. A replica crash surfaces as
 //!   [`CommError::PeerUnreachable`] on the driver; [`run_tier`] then
-//!   joins the old fleet (survivors unwind via the transport's abort
-//!   broadcast), removes the crashed replica from the shard map, spawns
-//!   a **fresh** fabric over the survivors (the PR 2 recovery idiom),
-//!   replays the swap history so new fleets hold every version, and
-//!   retries.
-//! * *At-most-once*: within a fabric the transport dedups retransmits
+//!   joins the old fleet (survivors unwind on the crashed replica's
+//!   failure notice), removes the crashed replica from the shard map,
+//!   spawns a **fresh** fabric over the survivors, replays the swap
+//!   history so new fleets hold every version, and retries.
+//! * *At-most-once*: within a fabric the transport dedups duplicates
 //!   and delivers per-link FIFO; across fabrics nothing survives — the
 //!   only state carried over is the `answered` map itself, and the
 //!   driver never re-sends an answered request id.
@@ -418,8 +417,9 @@ impl Driver {
         let rank = self.crashed_rank(err);
         let crashed = self.live[rank - 1];
         if let Some(fleet) = self.fleet.take() {
-            // Dropping the driver endpoint after its abort broadcast
-            // lets survivors unwind from their blocking recv.
+            // Survivors unwind from their blocking recv on the crashed
+            // replica's failure notice (or the driver's abort, when
+            // patience ran out first).
             drop(fleet.driver);
             for h in fleet.handles {
                 let _ = h.join();

@@ -162,24 +162,18 @@ fn crashed_worker_recovers_to_bitwise_identical_output() {
             chaos: Some(chaos),
             ..clean
         };
-        let t0 = std::time::Instant::now();
         let got = distributed_epoch(&ds.graph, &sh, &cfg);
-        assert!(
-            got.recoveries >= 1,
-            "seed {seed}: the scheduled crash must force a re-drive"
+        // Exactly one re-drive: the crash is detected by its failure
+        // notices, and the crash-free re-drive never falls back on the
+        // receive-patience hang guard.
+        assert_eq!(
+            got.recoveries, 1,
+            "seed {seed}: the scheduled crash must force exactly one re-drive"
         );
         assert_bitwise_eq(
             &got.features,
             &want.features,
             &format!("crash seed {seed} mode {mode:?}"),
-        );
-        // Failure detection is timeout-bounded, not hang-prone: the
-        // whole crash + abort + re-drive cycle stays well under the
-        // snappy policy's worst case.
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(30),
-            "seed {seed}: recovery took {:?}",
-            t0.elapsed()
         );
     }
 }
@@ -188,7 +182,11 @@ fn crashed_worker_recovers_to_bitwise_identical_output() {
 fn fault_counters_attribute_injected_faults() {
     let ds = dataset();
     let sh = shards(&ds);
+    // A FlexGraph epoch sends one message per link, too few for these
+    // rates to fire; the request/response rounds of the Euler-like mode
+    // send dozens.
     let clean = DistConfig {
+        mode: DistMode::EulerLike { batch_size: 7 },
         retry: RetryPolicy::snappy(),
         ..DistConfig::default()
     };

@@ -12,6 +12,7 @@
 //! A failing seed reproduces with
 //! `FLEXGRAPH_CHAOS_SEED=<seed> cargo test --test chaos_at_scale`.
 
+use flexgraph::comm::clock::detection_budget;
 use flexgraph::comm::{ChaosSchedule, CrashPoint, RetryPolicy};
 use flexgraph::dist::{distributed_epoch, make_shards, virtual_epoch, DistConfig, DistMode};
 use flexgraph::graph::gen::community;
@@ -182,7 +183,14 @@ fn crash_recovery_converges_at_256_workers() {
         ..DistConfig::default()
     };
     let want = virtual_epoch(&ds.graph, &sh, &clean, &net);
-    let t0 = std::time::Instant::now();
+    let budget = detection_budget(&RetryPolicy::snappy()).as_nanos() as u64;
+    let field = |line: &str, i: usize| -> u64 {
+        line.split(' ')
+            .nth(i)
+            .expect("log field")
+            .parse()
+            .expect("number")
+    };
     for seed in seeds(40..43) {
         let cfg = DistConfig {
             chaos: Some(ChaosSchedule {
@@ -210,15 +218,28 @@ fn crash_recovery_converges_at_256_workers() {
             &want.report.features,
             &format!("crash seed {seed}"),
         );
+        // Recovery is a scheduled replay, not a timeout stall: every
+        // peer that learns of the crash (`F vt dst culprit`) learns of it
+        // exactly one detection budget after it (`C vt rank`).
+        let log = |kind: &str| -> Vec<&str> {
+            got.event_log
+                .lines()
+                .filter(|l| l.starts_with(kind))
+                .collect()
+        };
+        let crashes = log("C ");
+        assert_eq!(crashes.len(), 1, "seed {seed}: one crash");
+        let (crash_vt, crashed) = (field(crashes[0], 1), field(crashes[0], 2));
+        let notices = log("F ");
+        assert!(!notices.is_empty(), "seed {seed}: the crash was detected");
+        for f in notices {
+            assert_eq!(
+                (field(f, 1), field(f, 3)),
+                (crash_vt + budget, crashed),
+                "seed {seed}: {f}"
+            );
+        }
     }
-    // Recovery at 256 workers is an in-memory replay, not a timeout
-    // stall: the whole 3-crash sweep stays far below the threaded
-    // suite's single-crash budget.
-    assert!(
-        t0.elapsed() < std::time::Duration::from_secs(60),
-        "recovery sweep took {:?}",
-        t0.elapsed()
-    );
 }
 
 /// Straggler and flaky-rack profiles stretch virtual time but never

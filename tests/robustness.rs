@@ -1,7 +1,7 @@
 //! Robustness and edge-case integration tests: fault injection, dynamic
 //! graphs, degenerate topologies, and budget boundaries.
 
-use flexgraph::comm::{ChaosSchedule, CostModel, NetProfile};
+use flexgraph::comm::{ChaosSchedule, CostModel, NetProfile, RetryPolicy};
 use flexgraph::dist::{distributed_epoch, make_shards, virtual_epoch, DistConfig, DistMode};
 use flexgraph::engine::hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, Strategy};
 use flexgraph::engine::MemoryBudget;
@@ -73,7 +73,7 @@ fn distributed_parity_under_duplication_and_delay() {
         },
         chaos: Some(ChaosSchedule {
             seed: 5,
-            duplicate_every: 3,
+            duplicate_every: 1,
             extra_delay_us: 500.0,
             ..ChaosSchedule::default()
         }),
@@ -153,37 +153,74 @@ fn simulation_and_threaded_runtime_agree_on_every_mode() {
             hops: 2,
         },
     ] {
-        let cfg = DistConfig {
+        let clean = DistConfig {
             mode,
             ..DistConfig::default()
         };
-        let a = distributed_epoch(&ds.graph, &shards, &cfg);
-        let net = NetProfile::from_cost_model(&cfg.cost_model);
-        let b = virtual_epoch(&ds.graph, &shards, &cfg, &net).report;
-        assert!(
-            a.features.max_abs_diff(&b.features) < 1e-4,
-            "{mode:?}: threaded and simulated runtimes must agree"
-        );
-        // Both runtimes step the same tasks, so every partition records
-        // the same stage invocations and work units and the same comm
-        // counters; only the times differ.
-        let counters = |t: &TraceEpoch| {
-            t.partitions
-                .iter()
-                .map(|(&rank, rec)| {
-                    let stages: Vec<(u64, u64)> = Stage::ALL
-                        .iter()
-                        .map(|&s| (rec.stage(s).invocations, rec.stage(s).work))
-                        .collect();
-                    (rank, stages, rec.comm)
-                })
-                .collect::<Vec<_>>()
+        // The chaos leg: drops, duplicates, reorders and delays, no
+        // crash. Both runtimes take each message's fate from the same
+        // chaos walk, so they count the same faults.
+        let chaotic = DistConfig {
+            mode,
+            chaos: Some(ChaosSchedule {
+                seed: 5,
+                drop_prob: 0.3,
+                duplicate_every: 1,
+                reorder_prob: 0.5,
+                reorder_window: 2,
+                extra_delay_us: 30.0,
+                jitter_us: 120.0,
+                ..ChaosSchedule::default()
+            }),
+            retry: RetryPolicy::snappy(),
+            ..DistConfig::default()
         };
-        assert_eq!(
-            counters(&a.telemetry),
-            counters(&b.telemetry),
-            "{mode:?}: runtimes must record the same telemetry"
-        );
+        for (leg, cfg) in [("clean", clean), ("chaos", chaotic)] {
+            let a = distributed_epoch(&ds.graph, &shards, &cfg);
+            let net = NetProfile::from_cost_model(&cfg.cost_model);
+            let b = virtual_epoch(&ds.graph, &shards, &cfg, &net).report;
+            assert!(
+                a.features.max_abs_diff(&b.features) < 1e-4,
+                "{mode:?} {leg}: threaded and simulated runtimes must agree"
+            );
+            // Both runtimes step the same tasks, so every partition
+            // records the same stage invocations and work units and the
+            // same comm counters; only the times differ.
+            let counters = |t: &TraceEpoch| {
+                t.partitions
+                    .iter()
+                    .map(|(&rank, rec)| {
+                        let stages: Vec<(u64, u64)> = Stage::ALL
+                            .iter()
+                            .map(|&s| (rec.stage(s).invocations, rec.stage(s).work))
+                            .collect();
+                        (rank, stages, rec.comm)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                counters(&a.telemetry),
+                counters(&b.telemetry),
+                "{mode:?} {leg}: runtimes must record the same telemetry"
+            );
+            let traffic = |r: &EpochReport| {
+                (
+                    r.retries,
+                    r.drops_injected,
+                    r.redeliveries,
+                    r.comm_messages,
+                    r.comm_bytes,
+                )
+            };
+            assert_eq!(
+                traffic(&a),
+                traffic(&b),
+                "{mode:?} {leg}: runtimes must count the same traffic and faults"
+            );
+            if leg == "chaos" {
+                assert!(a.drops_injected > 0 && a.redeliveries > 0, "{mode:?}");
+            }
+        }
     }
 }
 
